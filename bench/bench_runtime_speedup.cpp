@@ -4,12 +4,14 @@
 //
 // The deterministic contract means the two modes produce bit-identical
 // PicResults — the bench verifies that on every configuration and reports
-// "identical=yes/no" next to the timings. Speedup expectations are
-// conditional on host parallelism: simulated ranks can only overlap on
-// real cores, so the header reports hardware_concurrency and the expected
-// shape only applies on hosts with >= 4 cores. Timed runs execute
-// serially (never under --jobs-style co-scheduling) so wall clocks are
-// not distorted by contention.
+// "identical=yes/no" next to the timings. The speedup column is a
+// measurement, not a target: simulated ranks can only overlap on real
+// cores (the header reports hardware_concurrency), and lockstep PIC ends
+// almost every phase in a collective, which leaves the parallel engine
+// little to overlap; at 16 and 64 ranks it has measured slower than the
+// sequential fiber scheduler.
+// Timed runs execute serially (never under --jobs-style co-scheduling) so
+// wall clocks are not distorted by contention.
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -73,8 +75,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Runtime speedup — parallel engine vs sequential scheduler",
       "Fig-17 trace, irregular, mesh=128x64, iters=" + std::to_string(iters) +
-          ", host cores=" + std::to_string(cores) +
-          (cores >= 4 ? "" : " (expect ~1x below 4 cores)"));
+          ", host cores=" + std::to_string(cores));
 
   Table t({"ranks", "seq_wall_s", "par_wall_s", "speedup", "identical"});
   t.set_title("parallel vs sequential wall-clock");
@@ -105,9 +106,8 @@ int main(int argc, char** argv) {
         .add(identical(seq, par) ? "yes" : "NO");
   }
   t.print(std::cout);
-  std::cout << "\nExpected: identical=yes everywhere; speedup grows with "
-               "ranks on multi-core hosts (>=2x at 16 ranks on >=4 cores), "
-               "~1x or below on single-core hosts where threads only add "
-               "scheduling overhead.\n";
+  std::cout << "\nExpected: identical=yes everywhere. speedup = seq_s / "
+               "par_s is reported, not promised; below 1 means the parallel "
+               "engine was slower than the sequential scheduler.\n";
   return 0;
 }

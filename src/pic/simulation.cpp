@@ -262,7 +262,7 @@ PicResult run_pic(const PicParams& params) {
   const mesh::GridDesc grid = params.grid;
   const auto curve = sfc::make_curve(params.curve, grid.nx, grid.ny);
   // Cell -> curve-index table, evaluated once and shared read-only by all
-  // rank threads; replaces per-particle curve evaluations on the push and
+  // ranks; replaces per-particle curve evaluations on the push and
   // scrub paths (DESIGN.md §10).
   const sfc::IndexCache key_cache(*curve, grid.nx, grid.ny);
 

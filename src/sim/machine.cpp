@@ -1,13 +1,13 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <bit>
+#include <cassert>
 #include <limits>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "sim/comm.hpp"
+#include "sim/fiber.hpp"
 
 namespace picpar::sim {
 
@@ -50,22 +50,60 @@ FaultCounters RunResult::faults_total() const {
   return t;
 }
 
-struct Machine::Sync {
-  std::mutex mutex;
-  /// Main-thread wakeup (run completion / deadlock detection).
-  std::condition_variable cv;
-  /// One condition variable per rank so a handoff wakes exactly the target
-  /// rank instead of broadcasting to all p parked threads — at p=1024+ a
-  /// notify_all per handoff is a thundering herd of p-1 futile wakeups.
-  std::unique_ptr<std::condition_variable[]> rank_cvs;
-  std::vector<std::thread> threads;
+/// Sequential scheduler state: one fiber per rank plus the ready set.
+///
+/// The ready set replaces a scan of every rank at every yield. A rank's bit
+/// in `ready` means "known runnable"; a bit in `dirty` means "parked, and
+/// something that can make it runnable happened since it was last
+/// evaluated". Only flagged ranks are evaluated when picking, so a parked
+/// rank costs nothing until an event concerns it.
+struct Machine::Sched {
+  FiberSet fibers;
+  std::vector<std::uint64_t> ready;
+  std::vector<std::uint64_t> dirty;
+  /// watchers[b]: parked wildcard receivers with blocked_by == b (plus
+  /// stale entries, skipped when their blocked_by no longer matches).
+  std::vector<std::vector<int>> watchers;
+
+  static bool test(const std::vector<std::uint64_t>& v, int r) {
+    return (v[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1u;
+  }
+  static void set(std::vector<std::uint64_t>& v, int r) {
+    v[static_cast<std::size_t>(r) >> 6] |= std::uint64_t{1} << (r & 63);
+  }
+  static void clear(std::vector<std::uint64_t>& v, int r) {
+    v[static_cast<std::size_t>(r) >> 6] &= ~(std::uint64_t{1} << (r & 63));
+  }
+
+  /// Every rank ready (none has run yet), none dirty, no watchers.
+  void reset(int n) {
+    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+    ready.assign(words, ~std::uint64_t{0});
+    if (n % 64) ready.back() = (std::uint64_t{1} << (n % 64)) - 1;
+    dirty.assign(words, 0);
+    watchers.resize(static_cast<std::size_t>(n));
+    for (auto& w : watchers) w.clear();
+  }
+
+  /// Lowest rank in [lo, hi) flagged ready or dirty; -1 = none.
+  int first(int lo, int hi) const {
+    if (lo >= hi) return -1;
+    const std::size_t last = static_cast<std::size_t>(hi - 1) >> 6;
+    for (std::size_t w = static_cast<std::size_t>(lo) >> 6; w <= last; ++w) {
+      std::uint64_t bits = ready[w] | dirty[w];
+      if (w == static_cast<std::size_t>(lo) >> 6) bits &= ~std::uint64_t{0}
+                                                           << (lo & 63);
+      if (bits == 0) continue;
+      const int r = static_cast<int>(w * 64) + std::countr_zero(bits);
+      return r < hi ? r : -1;
+    }
+    return -1;
+  }
 };
 
 Machine::Machine(int nranks, CostModel cost)
-    : nranks_(nranks), cost_(cost), sync_(std::make_unique<Sync>()) {
+    : nranks_(nranks), cost_(cost), sched_(std::make_unique<Sched>()) {
   if (nranks <= 0) throw std::invalid_argument("Machine: nranks must be > 0");
-  sync_->rank_cvs = std::make_unique<std::condition_variable[]>(
-      static_cast<std::size_t>(nranks));
 }
 
 Machine::Machine(int nranks, CostModel cost, const FaultConfig& faults)
@@ -137,12 +175,12 @@ Machine::Candidate Machine::find_candidate(int rank, int src, int tag) {
   }
 }
 
-bool Machine::commit_safe(int rank, int src_pattern,
-                          const Candidate& c) const {
+int Machine::commit_blocker(int rank, int src_pattern,
+                            const Candidate& c) const {
   // Source-pinned receives are fixed by link FIFO: any future message from
   // that source carries a higher sequence number, so the candidate can
   // never be displaced.
-  if (src_pattern != kAnySource) return true;
+  if (src_pattern != kAnySource) return -1;
   // Wildcard-source: conservative lower-bound-timestamp rule. Any message
   // a live rank r could still send arrives no earlier than clock_r + tau
   // (message_cost >= tau, jitter >= 0), with key (arrival, r). The
@@ -154,9 +192,9 @@ bool Machine::commit_safe(int rank, int src_pattern,
     const double lb = rs.clock.load() + cost_.tau;
     if (lb > c.arrival) continue;
     if (lb == c.arrival && rs.id > c.src) continue;
-    return false;
+    return rs.id;
   }
-  return true;
+  return -1;
 }
 
 bool Machine::recv_deliverable(int rank) {
@@ -195,20 +233,91 @@ int Machine::stall_pick() {
   return best_rank;
 }
 
+// ---------------------------------------------------------------------------
+// Sequential scheduler: event-driven ready set.
+//
+// pick_next returns exactly the rank a cyclic scan from+1, ..., from of
+// runnable() would return, without evaluating every parked rank. A parked
+// rank's runnability can only change through four events, and each flags
+// the rank dirty (or ready) for re-evaluation:
+//   * a matching message lands in its mailbox (do_send);
+//   * it becomes the force-commit or fail-recv target (stall ladder);
+//   * a membership agreement completes (stall ladder);
+//   * for a wildcard receive whose candidate was unsafe: the first rank
+//     whose clock bound blocked it stops running — its clock may have
+//     advanced, or it finished (wake_watchers).
+// Nothing else moves the inputs of runnable(): a parked rank's mailbox only
+// grows through sends, its pattern and dedup set only change when it runs,
+// and other ranks' clocks only change while they run. Once runnable, a rank
+// stays runnable until it runs: a message that lands later cannot undercut
+// a safe candidate (the sender's clock bound already cleared it).
+// Dirty ranks are evaluated lazily, in the same cyclic order the scan
+// visits them, so transport side effects of find_candidate (duplicate
+// discards) happen at the same picks as under a full scan.
+// ---------------------------------------------------------------------------
+
 bool Machine::runnable(RankState& rs) {
   if (rs.done) return false;
   if (rs.in_membership) return rs.membership_ready;
   if (!rs.waiting) return true;
   if (fail_recv_rank_ == rs.id) return true;
-  return recv_deliverable(rs.id);
+  const Candidate c = find_candidate(rs.id, rs.want_src, rs.want_tag);
+  if (c.pos < 0) return false;
+  if (force_commit_rank_ == rs.id) return true;
+  const int blocker = commit_blocker(rs.id, rs.want_src, c);
+  if (blocker < 0) return true;
+  watch(rs, blocker);
+  return false;
+}
+
+void Machine::watch(RankState& rs, int blocker) {
+  if (rs.blocked_by == blocker) return;  // already on that list
+  rs.blocked_by = blocker;
+  sched_->watchers[static_cast<std::size_t>(blocker)].push_back(rs.id);
+}
+
+void Machine::mark_dirty(int rank) { Sched::set(sched_->dirty, rank); }
+
+void Machine::wake_watchers(int rank) {
+  auto& list = sched_->watchers[static_cast<std::size_t>(rank)];
+  for (const int r : list) {
+    RankState& w = ranks_[static_cast<std::size_t>(r)];
+    if (w.blocked_by != rank) continue;  // stale: re-registered elsewhere
+    w.blocked_by = -1;
+    if (w.waiting) mark_dirty(r);
+  }
+  list.clear();
 }
 
 int Machine::pick_next(int from) {
-  for (int step = 1; step <= nranks_; ++step) {
+  Sched& s = *sched_;
+  const auto scan = [&](int lo, int hi) {
+    for (int r = s.first(lo, hi); r >= 0; r = s.first(r + 1, hi)) {
+      if (Sched::test(s.dirty, r)) {
+        Sched::clear(s.dirty, r);
+        if (runnable(ranks_[static_cast<std::size_t>(r)]))
+          Sched::set(s.ready, r);
+        else
+          Sched::clear(s.ready, r);
+      }
+      if (Sched::test(s.ready, r)) return r;
+    }
+    return -1;
+  };
+  int next = scan(from + 1, nranks_);
+  if (next < 0) next = scan(0, from + 1);
+#ifndef NDEBUG
+  // Reference: the full cyclic scan the ready set replaces. Every rank it
+  // evaluates before its answer was already evaluated above with unchanged
+  // inputs, so the re-evaluation has no side effects.
+  int scanned = -1;
+  for (int step = 1; step <= nranks_ && scanned < 0; ++step) {
     const int cand = (from + step) % nranks_;
-    if (runnable(ranks_[static_cast<std::size_t>(cand)])) return cand;
+    if (runnable(ranks_[static_cast<std::size_t>(cand)])) scanned = cand;
   }
-  return -1;
+  assert(scanned == next && "ready-set pick diverged from the cyclic scan");
+#endif
+  return next;
 }
 
 std::vector<BlockedInfo> Machine::blocked_ranks() const {
@@ -256,10 +365,8 @@ std::string Machine::deadlock_report() const {
   return os.str();
 }
 
-void Machine::yield_from(int rank) {
-  // Caller holds no lock; acquire, transfer control, and wait to be
-  // rescheduled. Only the active rank ever calls this.
-  std::unique_lock<std::mutex> lk(sync_->mutex);
+int Machine::schedule_next(int rank) {
+  wake_watchers(rank);
   int next = pick_next(rank);
   if (next == -1 && live_ > 0) {
     // Global stall: nobody is runnable under the commit-safety rule. Force
@@ -278,41 +385,43 @@ void Machine::yield_from(int rank) {
         fail_recv_rank_ = victim;
         next = victim;
       } else if (try_complete_membership()) {
+        for (const auto& rs : ranks_)
+          if (!rs.done && rs.membership_ready) Sched::set(sched_->ready, rs.id);
         next = pick_next(rank);
       }
     }
-  }
-  if (next == -1) {
-    if (live_ > 0) {
-      // Everyone (including us, who must be waiting or done) is blocked.
-      // Snapshot the wait graph on the *first* detection only: ranks
-      // unwinding afterwards re-enter here (their final yield re-detects
-      // the same deadlock) and must not clobber the original picture.
-      if (!deadlocked_) {
-        deadlocked_ = true;
-        deadlock_report_str_ = deadlock_report();
-        deadlock_blocked_ = blocked_ranks();
-      }
-      current_ = -1;
-      sync_->cv.notify_all();
-      for (int i = 0; i < nranks_; ++i) sync_->rank_cvs[i].notify_all();
-      // Park forever; run() will detect deadlock and unwind via exception
-      // propagated from the main thread. We still need to terminate this
-      // thread: treat deadlock as fatal for the rank.
-      throw DeadlockError("rank " + std::to_string(rank) +
-                          " participated in a deadlock");
+    if (next == -1) {
+      // Every live rank is blocked. Snapshot the wait graph now, while the
+      // parked ranks still show what they wait for; the main context then
+      // unwinds them.
+      deadlocked_ = true;
+      deadlock_report_str_ = deadlock_report();
+      deadlock_blocked_ = blocked_ranks();
     }
-    current_ = -1;  // all done; wake the main thread
-    sync_->cv.notify_all();
-    return;
   }
-  current_ = next;
-  // Targeted handoff: wake only the rank that now owns execution.
-  sync_->rank_cvs[next].notify_one();
-  if (ranks_[rank].done) return;  // finished ranks exit without re-waiting
-  sync_->rank_cvs[rank].wait(
-      lk, [&] { return current_ == rank || deadlocked_; });
-  if (deadlocked_ && current_ != rank)
+  if (next >= 0) {
+    Sched::clear(sched_->ready, next);
+    Sched::clear(sched_->dirty, next);
+  }
+  return next;
+}
+
+void Machine::switch_rank(int from, int to) {
+  if (observer_) observer_->on_switch(from, to);
+  sched_->fibers.switch_to(from, to);
+}
+
+void Machine::yield_from(int rank) {
+  if (deadlocked_)
+    throw DeadlockError("rank " + std::to_string(rank) +
+                        " unwound due to deadlock");
+  const int next = schedule_next(rank);
+  if (next < 0)
+    throw DeadlockError("rank " + std::to_string(rank) +
+                        " participated in a deadlock");
+  if (next != rank) switch_rank(rank, next);
+  // Resumed: either picked again, or by the main context to unwind.
+  if (deadlocked_)
     throw DeadlockError("rank " + std::to_string(rank) +
                         " unwound due to deadlock");
 }
@@ -426,10 +535,12 @@ void Machine::do_send(int src, int dst, int tag,
   const int n =
       build_send(src, dst, tag, std::move(payload), out, &new_clock,
                  &reorder_first);
+  // A receiver parked on a matching pattern may have just become runnable:
+  // queue it for re-evaluation at the next pick.
+  const RankState& d = ranks_[static_cast<std::size_t>(dst)];
+  if (d.waiting && match(out[0], d.want_src, d.want_tag)) mark_dirty(dst);
   enqueue_messages(out, n, reorder_first);
   ranks_[static_cast<std::size_t>(src)].clock = new_clock;
-  // The receiver (if parked on a matching recv) becomes runnable; the
-  // sequential scheduler re-evaluates predicates on the next yield.
 }
 
 LinkStats& Machine::link_stats(RankState& rs, int src) {
@@ -538,14 +649,19 @@ Message Machine::do_recv(int rank, int src, int tag, bool fp_payload) {
       throw_peer_failure(rank);
     }
     const Candidate c = find_candidate(rank, src, tag);
-    if (c.pos >= 0 &&
-        (force_commit_rank_ == rank || commit_safe(rank, src, c))) {
-      if (force_commit_rank_ == rank) force_commit_rank_ = -1;
-      return commit_recv(rank, c, src, tag, fp_payload);
+    int blocker = -1;
+    if (c.pos >= 0) {
+      if (force_commit_rank_ == rank) {
+        force_commit_rank_ = -1;
+        return commit_recv(rank, c, src, tag, fp_payload);
+      }
+      blocker = commit_blocker(rank, src, c);
+      if (blocker < 0) return commit_recv(rank, c, src, tag, fp_payload);
     }
     rs.waiting = true;
     rs.want_src = src;
     rs.want_tag = tag;
+    if (blocker >= 0) watch(rs, blocker);
     yield_from(rank);
     rs.waiting = false;
   }
@@ -578,8 +694,8 @@ void Machine::charge(int rank, double seconds, bool is_compute) {
 // and compared against the rank's own clock at rank-local boundaries, so the
 // set of crashes reached by any quiescent state is a per-rank property of the
 // program — identical under sequential and parallel execution. All bookkeeping
-// below runs under the owning engine's serialization (handoff lock / engine
-// mutex) or touches only rank-owned state.
+// below runs under the owning engine's serialization (one rank at a time, or
+// the engine mutex) or touches only rank-owned state.
 // ---------------------------------------------------------------------------
 
 void Machine::check_crash(int rank) {
@@ -720,22 +836,16 @@ MembershipView Machine::do_agree(int rank) {
   return pending_view_;
 }
 
-void Machine::rank_main(int rank, const std::function<void(Comm&)>& program) {
-  {
-    std::unique_lock<std::mutex> lk(sync_->mutex);
-    sync_->rank_cvs[rank].wait(
-        lk, [&] { return current_ == rank || deadlocked_; });
-    if (deadlocked_) {
-      ranks_[rank].done = true;
-      --live_;
-      return;
-    }
-  }
+void Machine::fiber_entry(void* machine, int rank) {
+  static_cast<Machine*>(machine)->rank_main(rank);
+}
+
+void Machine::rank_main(int rank) {
   bool did_crash = false;
   double crash_vt = 0.0;
   try {
     Comm comm(this, rank);
-    program(comm);
+    (*program_)(comm);
   } catch (const RankCrashed& c) {
     // Fail-stop: the rank simply stops. Not an error — survivors detect it
     // through the lease machinery and may recover.
@@ -744,19 +854,20 @@ void Machine::rank_main(int rank, const std::function<void(Comm&)>& program) {
   } catch (const DeadlockError&) {
     // Already recorded globally; just unwind.
   } catch (...) {
-    ranks_[rank].error = std::current_exception();
+    ranks_[static_cast<std::size_t>(rank)].error = std::current_exception();
   }
-  {
-    std::lock_guard<std::mutex> lk(sync_->mutex);
-    if (did_crash) record_crash(rank, crash_vt);
-    ranks_[rank].done = true;
-    --live_;
-  }
-  try {
-    yield_from(rank);
-  } catch (const DeadlockError&) {
-    // This rank is already done; other ranks' deadlock is reported by run().
-  }
+  if (did_crash) record_crash(rank, crash_vt);
+  ranks_[static_cast<std::size_t>(rank)].done = true;
+  --live_;
+  exit_rank(rank);
+}
+
+void Machine::exit_rank(int rank) {
+  // -1 hands control back to the main context: the run completed, or it
+  // deadlocked and the main context unwinds the parked ranks.
+  const int next = deadlocked_ ? -1 : schedule_next(rank);
+  if (observer_) observer_->on_switch(rank, next);
+  sched_->fibers.exit_to(rank, next);
 }
 
 void Machine::reset_run_state() {
@@ -767,7 +878,6 @@ void Machine::reset_run_state() {
   faults_.reset();  // identical fault streams on every run of this Machine
   live_ = nranks_;
   deadlocked_ = false;
-  current_ = -1;
   force_commit_rank_ = -1;
   fail_recv_rank_ = -1;
   epoch_ = 0;
@@ -880,30 +990,26 @@ RunResult Machine::run(const std::function<void(Comm&)>& program) {
 
 RunResult Machine::run_sequential(const std::function<void(Comm&)>& program) {
   reset_run_state();
-
-  sync_->threads.clear();
-  sync_->threads.reserve(static_cast<std::size_t>(nranks_));
-  for (int i = 0; i < nranks_; ++i)
-    sync_->threads.emplace_back([this, i, &program] { rank_main(i, program); });
-
-  {
-    std::unique_lock<std::mutex> lk(sync_->mutex);
-    current_ = 0;
-    sync_->rank_cvs[0].notify_one();
-    sync_->cv.wait(lk, [&] { return live_ == 0 || deadlocked_; });
-    if (deadlocked_) {
-      // Let every parked rank unwind so threads can be joined.
-      for (int i = 0; i < nranks_; ++i) sync_->rank_cvs[i].notify_all();
-      lk.unlock();
-      for (auto& t : sync_->threads) t.join();
-      sync_->threads.clear();
-      throw DeadlockError(deadlock_report_str_,
-                          std::move(deadlock_blocked_));
-    }
+  Sched& s = *sched_;
+  s.reset(nranks_);
+  s.fibers.reset(nranks_, &Machine::fiber_entry, this);
+  program_ = &program;
+  Sched::clear(s.ready, 0);
+  switch_rank(-1, 0);
+  // Back in the main context: every rank finished, or the run deadlocked.
+  // Resume each parked rank once; it throws DeadlockError out of its wait,
+  // unwinds its stack (running the program's destructors) and exits.
+  if (deadlocked_)
+    for (int r = 0; r < nranks_; ++r)
+      if (!ranks_[static_cast<std::size_t>(r)].done) switch_rank(-1, r);
+  program_ = nullptr;
+  if (deadlocked_) {
+    // A rank's own exception is the root cause of the peers it left
+    // waiting; report it ahead of the deadlock it led to.
+    for (const auto& rs : ranks_)
+      if (rs.error) std::rethrow_exception(rs.error);
+    throw DeadlockError(deadlock_report_str_, std::move(deadlock_blocked_));
   }
-  for (auto& t : sync_->threads) t.join();
-  sync_->threads.clear();
-
   return collect_results();
 }
 

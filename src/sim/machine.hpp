@@ -1,9 +1,12 @@
 // A deterministic simulated multicomputer.
 //
 // Each simulated processor ("rank") runs the same SPMD program on its own
-// OS thread, but a global handoff lock guarantees exactly one rank executes
-// at a time, in deterministic round-robin order. Communication calls park
-// the calling rank when they must wait; sends are buffered and never block.
+// fiber — a stackful coroutine with its own 8 MiB stack — and all fibers
+// share the OS thread that called run(), so exactly one rank executes at a
+// time. A rank runs until it must wait (a receive with nothing deliverable,
+// a membership barrier) or finishes; the scheduler then switches directly
+// to the next runnable rank in deterministic round-robin order. Sends are
+// buffered and never block.
 //
 // Time is virtual: every rank owns a clock in seconds that advances through
 // explicit compute charges and through the two-level communication model
@@ -209,7 +212,7 @@ class Machine;
 /// Interface the parallel runtime installs for the duration of a parallel
 /// run. Machine's communication entry points delegate here, so blocking,
 /// mailbox locking, and wakeups go through the engine's scheduler instead
-/// of the sequential handoff protocol. Everything the hooks may touch on
+/// of the sequential fiber scheduler. Everything the hooks may touch on
 /// the Machine (candidate selection, commit, enqueue) is shared with the
 /// sequential path — the engines differ only in who runs when.
 class ParallelRuntimeHooks {
@@ -276,9 +279,11 @@ public:
   }
 
   /// Run an SPMD program to completion on all ranks; returns per-rank
-  /// clocks and traffic. Throws DeadlockError on global deadlock and
-  /// rethrows the first rank exception otherwise. A Machine can run
-  /// several programs in sequence; clocks and stats reset between runs.
+  /// clocks and traffic. Rethrows the first (lowest-rank) exception a rank
+  /// program let escape; otherwise throws DeadlockError on global deadlock.
+  /// Either way every rank's stack has unwound first, so destructors in
+  /// the program have run. A Machine can run several programs in sequence;
+  /// clocks and stats reset between runs, and the rank stacks are reused.
   RunResult run(const std::function<void(Comm&)>& program);
 
   /// Bytes of per-peer transport state (sequence counters, dedup sets,
@@ -286,7 +291,7 @@ public:
   /// the per-rank memory budget. Size-based and a pure function of the
   /// messages the rank has sent/consumed, so the value is identical across
   /// execution modes at the same program point. Callable from the owning
-  /// rank's thread during a run (reads only rank-owned state).
+  /// rank during a run (reads only rank-owned state).
   std::size_t rank_transport_bytes(int rank) const;
   /// Number of distinct peers with transport state on `rank` (the "touched
   /// peers" count the sparse tables are bounded by).
@@ -335,6 +340,10 @@ private:
     int epoch = 0;               ///< membership epoch this rank executes in
     bool in_membership = false;  ///< parked in agree_on_membership
     bool membership_ready = false;
+    /// Sequential ready set: the first live rank whose clock bound kept
+    /// this parked wildcard receive unsafe; the receiver sits on that
+    /// rank's watch list until the rank next yields. -1 = none.
+    int blocked_by = -1;
   };
 
   // --- used by Comm (sequential: only the active rank executes; parallel:
@@ -419,7 +428,12 @@ private:
   /// Conservative lower-bound-timestamp rule: may the candidate commit now,
   /// i.e. can no live rank still send a message with a smaller key? Always
   /// true for source-pinned receives (link FIFO fixes the order).
-  bool commit_safe(int rank, int src_pattern, const Candidate& c) const;
+  bool commit_safe(int rank, int src_pattern, const Candidate& c) const {
+    return commit_blocker(rank, src_pattern, c) < 0;
+  }
+  /// The lowest live rank that could still undercut the candidate (whose
+  /// clock bound breaks commit_safe), or -1 when the candidate is safe.
+  int commit_blocker(int rank, int src_pattern, const Candidate& c) const;
   /// Deliver the candidate: dequeue, advance the receiver clock, run
   /// transport recovery, book stats, fire the observer.
   Message commit_recv(int rank, const Candidate& c, int src, int tag,
@@ -443,12 +457,32 @@ private:
                  Message out[2], double* new_clock, bool* reorder_first);
   void enqueue_messages(Message out[2], int n, bool reorder_first);
 
-  // --- sequential scheduler ---
-  void yield_from(int rank);       ///< hand execution to the next runnable rank
-  int pick_next(int from);         ///< -1: none runnable
+  // --- sequential scheduler (fibers + event-driven ready set) ---
+  /// Park the calling rank and run others until it is runnable again.
+  /// Throws DeadlockError when the machine deadlocks instead.
+  void yield_from(int rank);
+  /// Pick the rank to run after `rank` parks or finishes: the ready-set
+  /// pick, else the stall-resolution ladder. -1 = completion or deadlock
+  /// (deadlocked_ tells which).
+  int schedule_next(int rank);
+  /// First runnable rank in cyclic order from+1, ..., from; -1 = none.
+  /// Evaluates only ranks flagged ready or dirty.
+  int pick_next(int from);
+  /// Evaluate one rank's runnability (registers it on its blocker's watch
+  /// list when a wildcard candidate is unsafe).
   bool runnable(RankState& rs);
+  /// Put a parked wildcard receiver on `blocker`'s watch list.
+  void watch(RankState& rs, int blocker);
+  /// Queue a parked rank for re-evaluation at the next pick.
+  void mark_dirty(int rank);
+  /// `rank` is about to stop running: its clock may have moved or it may
+  /// have finished, so every receiver it was blocking is re-evaluated.
+  void wake_watchers(int rank);
+  void switch_rank(int from, int to);
   bool match(const Message& m, int src, int tag) const;
-  void rank_main(int rank, const std::function<void(Comm&)>& program);
+  static void fiber_entry(void* machine, int rank);
+  [[noreturn]] void rank_main(int rank);
+  [[noreturn]] void exit_rank(int rank);
   std::string deadlock_report() const;
   std::vector<BlockedInfo> blocked_ranks() const;
 
@@ -468,9 +502,10 @@ private:
   std::string deadlock_report_str_;
   std::vector<BlockedInfo> deadlock_blocked_;
 
-  struct Sync;                      // mutex/cv bundle (keeps header light)
-  std::unique_ptr<Sync> sync_;
-  int current_ = -1;                // active rank; -1 = main thread
+  struct Sched;  // rank fibers + ready set (keeps <ucontext.h> out)
+  std::unique_ptr<Sched> sched_;
+  /// The program of the sequential run in flight (fibers start in it).
+  const std::function<void(Comm&)>* program_ = nullptr;
   int live_ = 0;                    // ranks not yet done
   bool deadlocked_ = false;
   /// Rank allowed to commit its candidate past the safety rule (stall
@@ -490,8 +525,8 @@ private:
   /// Per-source flow-head scratch for find_candidate: sorted (src, mailbox
   /// position) pairs over the sources present in the scanned mailbox, so
   /// the scratch is O(distinct senders), not O(p). Capacity persists across
-  /// calls. Guarded by the engine's serialization (handoff lock or the
-  /// parallel engine mutex).
+  /// calls. Guarded by the engine's serialization (one rank at a time, or
+  /// the parallel engine mutex).
   std::vector<std::pair<int, int>> scratch_heads_;
 
   ExecMode exec_mode_ = ExecMode::kSequential;

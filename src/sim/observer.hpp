@@ -2,8 +2,8 @@
 //
 // A MachineObserver sees every point-to-point event (collectives are built
 // from point-to-point messages, so it sees those too) in the exact order
-// the deterministic scheduler executes them. The handoff lock guarantees
-// only one rank runs at a time, so callbacks are serialized — observers
+// the deterministic scheduler executes them. The sequential scheduler runs
+// one rank at a time on one thread, so callbacks are serialized — observers
 // need no internal locking.
 //
 // The observer may stamp metadata onto an outgoing Message (vclock); the
@@ -89,6 +89,16 @@ public:
   /// A named instant fired on `e.rank` (see MarkEvent). Default: no-op.
   virtual void on_mark(const MarkEvent& e) { (void)e; }
 
+  /// The sequential scheduler is about to pass the CPU from rank `from` to
+  /// rank `to` (-1 = the scheduler's main context, before the first rank
+  /// runs and after the last one stops). Between two switches exactly one
+  /// rank executes, so this is where on-CPU host time can be attributed.
+  /// The parallel engine reports no switches. Default: no-op.
+  virtual void on_switch(int from, int to) {
+    (void)from;
+    (void)to;
+  }
+
   /// The run completed normally (all ranks done, no error, no deadlock);
   /// `mailboxes[r]` is rank r's final mailbox — messages sent but never
   /// received — and `final_clocks[r]` its final virtual time. This is the
@@ -130,6 +140,9 @@ public:
   }
   void on_mark(const MarkEvent& e) override {
     for (auto* o : observers_) o->on_mark(e);
+  }
+  void on_switch(int from, int to) override {
+    for (auto* o : observers_) o->on_switch(from, to);
   }
   void on_run_end(const std::vector<const std::deque<Message>*>& mailboxes,
                   const std::vector<double>& final_clocks) override {

@@ -22,8 +22,9 @@
 namespace picpar::trace {
 
 struct ChromeTraceOptions {
-  /// Attach wall-clock args to span events. Wall times are
-  /// schedule-dependent; leave off for comparable traces.
+  /// Attach wall-clock args to span events: the rank's on-CPU wall clock
+  /// at the span start and the span's on-CPU duration (see Span::w0). Wall
+  /// times are schedule-dependent; leave off for comparable traces.
   bool include_wall = false;
   /// Emit send->recv flow events.
   bool flows = true;

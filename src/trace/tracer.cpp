@@ -18,10 +18,20 @@ double Tracer::wall_us() const {
   return static_cast<double>(util::wall_clock() - wall_base_ns_) * 1e-3;
 }
 
+double Tracer::rank_wall_us(int rank) const {
+  const double now = wall_us();
+  if (!switched_) return now;
+  const RankBuf& b = bufs_[static_cast<std::size_t>(rank)];
+  return b.cpu_us + (rank == running_ ? now - since_us_ : 0.0);
+}
+
 void Tracer::on_run_start(int nranks) {
   nranks_ = nranks;
   bufs_.assign(static_cast<std::size_t>(nranks), RankBuf{});
   wall_base_ns_ = util::wall_clock();
+  switched_ = false;
+  running_ = -1;
+  since_us_ = 0.0;
   data_ = TraceData{};
   timeline_ = RedistTimeline{};
   metrics_.clear();
@@ -70,7 +80,7 @@ void Tracer::on_recv(const sim::Message& m, const sim::RecvEvent& e,
 void Tracer::on_phase(const sim::PhaseEvent& e) {
   RankBuf& b = bufs_[static_cast<std::size_t>(e.rank)];
   b.events += 1;
-  const double w = wall_us();
+  const double w = rank_wall_us(e.rank);
   Span s;
   s.rank = e.rank;
   s.phase = b.cur_phase;
@@ -100,6 +110,15 @@ void Tracer::on_mark(const sim::MarkEvent& e) {
   b.marks.push_back(std::move(rec));
 }
 
+void Tracer::on_switch(int from, int to) {
+  const double now = wall_us();
+  if (from >= 0 && switched_)
+    bufs_[static_cast<std::size_t>(from)].cpu_us += now - since_us_;
+  switched_ = true;
+  running_ = to;
+  since_us_ = now;
+}
+
 void Tracer::on_run_end(
     const std::vector<const std::deque<sim::Message>*>& mailboxes,
     const std::vector<double>& final_clocks) {
@@ -118,7 +137,7 @@ void Tracer::on_run_end(
     tail.t0 = b.cur_t0;
     tail.t1 = final_clocks[static_cast<std::size_t>(r)];
     tail.w0 = b.cur_w0;
-    tail.w1 = w_end;
+    tail.w1 = switched_ ? b.cpu_us : w_end;
     b.spans.push_back(tail);
     data_.spans.insert(data_.spans.end(), b.spans.begin(), b.spans.end());
 

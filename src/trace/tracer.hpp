@@ -15,7 +15,11 @@
 //
 // Wall-clock times are recorded alongside the virtual spans but are
 // excluded from every exporter by default; they exist for humans looking
-// at one run, not for comparisons.
+// at one run, not for comparisons. Under the sequential scheduler they are
+// on-CPU times: the tracer stamps the wall clock at every rank switch
+// (MachineObserver::on_switch), so a span is charged only for the
+// intervals its own rank was executing, and the spans of one run sum to at
+// most its wall time.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +75,10 @@ inline constexpr const char* kMarkMemSort =
     "mem.sort_bytes";  ///< partitioner sort buckets + bounds
 
 /// One contiguous interval a rank spent in one phase. Virtual times are
-/// deterministic; w0/w1 are wall-clock microseconds since run start and are
+/// deterministic. w0/w1 read the rank's on-CPU wall clock in microseconds:
+/// the time the rank itself has executed since run start, so w1 - w0 is
+/// the host time the span really cost. The parallel engine reports no
+/// switches; there they are plain wall time since run start. Both are
 /// schedule-dependent.
 struct Span {
   int rank = 0;
@@ -178,6 +185,7 @@ public:
                const std::deque<sim::Message>& mailbox) override;
   void on_phase(const sim::PhaseEvent& e) override;
   void on_mark(const sim::MarkEvent& e) override;
+  void on_switch(int from, int to) override;
   void on_run_end(
       const std::vector<const std::deque<sim::Message>*>& mailboxes,
       const std::vector<double>& final_clocks) override;
@@ -227,6 +235,7 @@ private:
     std::uint64_t dropped_recvs = 0;
     std::uint64_t dropped_marks = 0;
     std::uint64_t events = 0;
+    double cpu_us = 0.0;  ///< on-CPU wall time banked at switches away
   };
 
   /// Wall microseconds since on_run_start, via the project's one sanctioned
@@ -234,6 +243,9 @@ private:
   /// DESIGN.md section 12). Used only for the human-facing w0/w1 span
   /// fields, which every exporter excludes by default.
   double wall_us() const;
+  /// `rank`'s on-CPU wall clock (see Span::w0): banked time plus the
+  /// current slice if it is running; wall_us() until the first switch.
+  double rank_wall_us(int rank) const;
 
   void build_flows();
   void build_timeline();
@@ -243,6 +255,9 @@ private:
   int nranks_ = 0;
   std::vector<RankBuf> bufs_;
   std::uint64_t wall_base_ns_ = 0;  ///< util::wall_clock() at run start
+  bool switched_ = false;  ///< on_switch seen this run (sequential engine)
+  int running_ = -1;       ///< rank on the CPU; -1 = the scheduler
+  double since_us_ = 0.0;  ///< wall_us() at the last switch
 
   TraceData data_;
   RedistTimeline timeline_;

@@ -23,13 +23,19 @@ GridPartition make_snake(const GridDesc& g, int p) {
   return GridPartition::curve(g, p, c);
 }
 
-class LocalGridDecomp
-    : public ::testing::TestWithParam<GridPartition (*)(const GridDesc&, int)> {
+// Named so the listed test names are stable: a bare function pointer
+// parameter would print as its (randomized) load address.
+struct Decomp {
+  const char* name;
+  GridPartition (*make)(const GridDesc&, int);
 };
+void PrintTo(const Decomp& d, std::ostream* os) { *os << d.name; }
+
+class LocalGridDecomp : public ::testing::TestWithParam<Decomp> {};
 
 TEST_P(LocalGridDecomp, LocalIndexingIsConsistent) {
   GridDesc g(16, 12);
-  const auto part = GetParam()(g, 6);
+  const auto part = GetParam().make(g, 6);
   for (int r = 0; r < 6; ++r) {
     LocalGrid lg(part, r);
     EXPECT_EQ(lg.owned(), part.count_of(r));
@@ -42,7 +48,7 @@ TEST_P(LocalGridDecomp, LocalIndexingIsConsistent) {
 
 TEST_P(LocalGridDecomp, StencilMatchesGlobalNeighbors) {
   GridDesc g(12, 12);
-  const auto part = GetParam()(g, 4);
+  const auto part = GetParam().make(g, 4);
   for (int r = 0; r < 4; ++r) {
     LocalGrid lg(part, r);
     for (std::size_t l = 0; l < lg.owned(); ++l) {
@@ -57,7 +63,7 @@ TEST_P(LocalGridDecomp, StencilMatchesGlobalNeighbors) {
 
 TEST_P(LocalGridDecomp, HaloPeersAreSymmetric) {
   GridDesc g(20, 10);
-  const auto part = GetParam()(g, 5);
+  const auto part = GetParam().make(g, 5);
   std::vector<LocalGrid> grids;
   for (int r = 0; r < 5; ++r) grids.emplace_back(part, r);
   for (int a = 0; a < 5; ++a) {
@@ -80,7 +86,7 @@ TEST_P(LocalGridDecomp, HaloPeersAreSymmetric) {
 
 TEST_P(LocalGridDecomp, GhostsAreExactlyStencilNonOwned) {
   GridDesc g(16, 8);
-  const auto part = GetParam()(g, 4);
+  const auto part = GetParam().make(g, 4);
   for (int r = 0; r < 4; ++r) {
     LocalGrid lg(part, r);
     std::set<std::uint64_t> expected;
@@ -94,8 +100,9 @@ TEST_P(LocalGridDecomp, GhostsAreExactlyStencilNonOwned) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Decomps, LocalGridDecomp,
-                         ::testing::Values(&make_block, &make_hilbert,
-                                           &make_snake));
+                         ::testing::Values(Decomp{"block", &make_block},
+                                           Decomp{"hilbert", &make_hilbert},
+                                           Decomp{"snake", &make_snake}));
 
 TEST(HaloExchange, GhostsReceiveOwnersValues) {
   GridDesc g(16, 16);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "sim/comm.hpp"
 #include "sim/faults.hpp"
@@ -11,15 +12,26 @@
 namespace picpar::sim {
 namespace {
 
+// No padding bytes: gtest prints the raw bytes of the parameter into the
+// listed test names, so padding would make the names vary run to run.
 struct FuzzCase {
-  int ranks;
+  std::int64_t ranks;
   std::uint64_t seed;
 };
+
+std::string fuzz_case_name(const ::testing::TestParamInfo<FuzzCase>& i) {
+  std::string name = "p";
+  name += std::to_string(i.param.ranks);
+  name += 's';
+  name += std::to_string(i.param.seed);
+  return name;
+}
 
 class AllToManyFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(AllToManyFuzz, MatchesReferenceExchange) {
-  const auto [ranks, seed] = GetParam();
+  const int ranks = static_cast<int>(GetParam().ranks);
+  const auto seed = GetParam().seed;
   // Deterministically generate the full traffic matrix up front so every
   // rank (and the checker) sees the same expectation.
   picpar::Rng pattern(seed);
@@ -52,10 +64,7 @@ INSTANTIATE_TEST_SUITE_P(
     Patterns, AllToManyFuzz,
     ::testing::Values(FuzzCase{2, 1}, FuzzCase{3, 2}, FuzzCase{5, 3},
                       FuzzCase{8, 4}, FuzzCase{13, 5}, FuzzCase{16, 6}),
-    [](const ::testing::TestParamInfo<FuzzCase>& i) {
-      return "p" + std::to_string(i.param.ranks) + "s" +
-             std::to_string(i.param.seed);
-    });
+    fuzz_case_name);
 
 class FaultyFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -63,7 +72,8 @@ TEST_P(FaultyFuzz, AllToManySurvivesActiveFaultModel) {
   // Same reference exchange as AllToManyFuzz, but over a fabric that
   // jitters, duplicates, reorders and corrupts. The transport must hide
   // all of it: every payload arrives exactly once, bit-identical.
-  const auto [ranks, seed] = GetParam();
+  const int ranks = static_cast<int>(GetParam().ranks);
+  const auto seed = GetParam().seed;
   picpar::Rng pattern(seed);
   std::vector<std::vector<std::vector<int>>> traffic(
       static_cast<std::size_t>(ranks));
@@ -107,10 +117,7 @@ INSTANTIATE_TEST_SUITE_P(
     Patterns, FaultyFuzz,
     ::testing::Values(FuzzCase{2, 11}, FuzzCase{3, 12}, FuzzCase{5, 13},
                       FuzzCase{8, 14}, FuzzCase{13, 15}),
-    [](const ::testing::TestParamInfo<FuzzCase>& i) {
-      return "p" + std::to_string(i.param.ranks) + "s" +
-             std::to_string(i.param.seed);
-    });
+    fuzz_case_name);
 
 TEST(P2pFuzz, RandomPairwiseStreamsStayOrdered) {
   // Every rank sends a random-length numbered stream to every other rank;

@@ -10,6 +10,7 @@
 
 #include "pic/simulation.hpp"
 #include "trace/tracer.hpp"
+#include "util/wall_clock.hpp"
 
 namespace picpar {
 namespace {
@@ -137,6 +138,40 @@ TEST(TracePic, ExportsByteIdenticalAcrossExecModes) {
   EXPECT_EQ(a, b);
   fs::remove(seq_trace);
   fs::remove(par_trace);
+}
+
+TEST(TracePic, PhaseWallCountsOnlyOnCpuTime) {
+  // The sequential scheduler reports every rank switch, so each rank's
+  // spans are charged only while that rank runs: summed over all ranks and
+  // phases they cannot exceed the run's own wall time. (Charging a span
+  // with its elapsed wall time instead counts the same second once per
+  // parked rank — about p times the run.) The check needs the sequential
+  // engine, so a PICPAR_PARALLEL in the environment is set aside.
+  const char* par = std::getenv("PICPAR_PARALLEL");
+  const std::string saved = par ? par : "";
+  ASSERT_EQ(unsetenv("PICPAR_PARALLEL"), 0);
+  auto p = small_pic();
+  p.nranks = 16;
+  p.grid = mesh::GridDesc{64, 32};
+  p.init.total = 8192;
+  p.iterations = 12;
+  p.trace.enabled = true;
+  const std::uint64_t t0 = util::wall_clock();
+  const auto r = pic::run_pic(p);
+  const double wall_us = static_cast<double>(util::wall_clock() - t0) * 1e-3;
+  if (par) {
+    ASSERT_EQ(setenv("PICPAR_PARALLEL", saved.c_str(), 1), 0);
+  }
+
+  ASSERT_EQ(r.phase_wall_us.size(), static_cast<std::size_t>(sim::kNumPhases));
+  double sum = 0.0;
+  for (const double w : r.phase_wall_us) {
+    EXPECT_GE(w, 0.0);
+    sum += w;
+  }
+  EXPECT_GT(sum, 0.0);
+  EXPECT_LE(sum, wall_us * 1.05) << "phase_wall_us sums to " << sum
+                                 << " us in a " << wall_us << " us run";
 }
 
 TEST(TracePic, EnvVariableEnablesTracing) {
