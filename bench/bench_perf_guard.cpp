@@ -10,22 +10,30 @@
 //   scatter  GhostExchange (generation-stamped hash + per-cell memo) vs
 //            per-particle unordered_map dedup with no memo
 //   index    sfc::IndexCache table lookup vs per-call HilbertCurve::index
+//   kick     particles::kick_pass over blocks vs a per-particle loop of
+//            out-of-line boris_kick calls
+//   push     position_pass + wrap + block assign_keys vs a per-particle
+//            loop of out-of-line advance_position calls and key_of
 //
 // Each check also verifies the two implementations produce identical
 // results, so the guard cannot pass by computing the wrong thing fast.
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <unordered_map>
 #include <vector>
 
 #include "core/ghost_exchange.hpp"
+#include "core/indexing.hpp"
 #include "core/sort_util.hpp"
 #include "sfc/hilbert.hpp"
 #include "sfc/index_cache.hpp"
+#include "particles/pusher.hpp"
 #include "sim/machine.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
@@ -226,6 +234,153 @@ bool check_index() {
   return report("index", ref, opt);
 }
 
+// ----------------------------------------------------------------- kick --
+
+/// The pre-pass Boris kick: an out-of-line call per particle that
+/// recomputes q dt / 2m and takes its square root inline.
+[[gnu::noinline]] void boris_kick_ref(double q, double m, double dt,
+                                      const particles::LocalFields& f,
+                                      double& ux, double& uy, double& uz) {
+  const double qmdt2 = 0.5 * q * dt / m;
+  double umx = ux + qmdt2 * f.ex;
+  double umy = uy + qmdt2 * f.ey;
+  double umz = uz + qmdt2 * f.ez;
+  const double gamma = std::sqrt(1.0 + umx * umx + umy * umy + umz * umz);
+  const double tx = qmdt2 * f.bx / gamma;
+  const double ty = qmdt2 * f.by / gamma;
+  const double tz = qmdt2 * f.bz / gamma;
+  const double t2 = tx * tx + ty * ty + tz * tz;
+  const double sx = 2.0 * tx / (1.0 + t2);
+  const double sy = 2.0 * ty / (1.0 + t2);
+  const double sz = 2.0 * tz / (1.0 + t2);
+  const double upx = umx + (umy * tz - umz * ty);
+  const double upy = umy + (umz * tx - umx * tz);
+  const double upz = umz + (umx * ty - umy * tx);
+  umx += upy * sz - upz * sy;
+  umy += upz * sx - upx * sz;
+  umz += upx * sy - upy * sx;
+  ux = umx + qmdt2 * f.ex;
+  uy = umy + qmdt2 * f.ey;
+  uz = umz + qmdt2 * f.ez;
+}
+
+/// A run_pic-sized rank population: uniform positions on `g`, thermal
+/// momenta with a few relativistic particles.
+ParticleArray guard_particles(const mesh::GridDesc& g, std::size_t n,
+                              std::uint64_t seed) {
+  ParticleArray p(-1.0, 1.0);
+  Rng rng(seed);
+  p.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double boost = i % 64 == 0 ? 20.0 : 0.05;
+    p.push_back({rng.uniform() * g.lx, rng.uniform() * g.ly,
+                 boost * rng.normal(), boost * rng.normal(),
+                 boost * rng.normal(), 0});
+  }
+  return p;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool check_kick() {
+  constexpr std::size_t kN = 65536;
+  constexpr double kDt = 0.3;
+  const mesh::GridDesc g(256, 128);
+  const ParticleArray p0 = guard_particles(g, kN, 53);
+  std::vector<particles::LocalFields> lf(kN);
+  Rng rng(59);
+  for (auto& f : lf)
+    f = {0.1 * rng.normal(), 0.1 * rng.normal(), 0.1 * rng.normal(),
+         rng.normal(),       rng.normal(),       rng.normal()};
+  const double q = p0.charge(), m = p0.mass();
+
+  // Both sides kick the same start state the same number of times, so
+  // their final momenta must match byte for byte.
+  ParticleArray ref_p = p0, opt_p = p0;
+  const double ref = best_of(5, [&] {
+    for (std::size_t i = 0; i < kN; ++i)
+      boris_kick_ref(q, m, kDt, lf[i], ref_p.ux[i], ref_p.uy[i], ref_p.uz[i]);
+  });
+  const double opt = best_of(5, [&] {
+    constexpr std::size_t kBlock = particles::kBlock;
+    particles::FieldBlock fb{};
+    double qmdt2[kBlock]{};
+    std::fill(qmdt2, qmdt2 + kBlock, particles::boris_qmdt2(q, m, kDt));
+    for (std::size_t b = 0; b < kN; b += kBlock) {
+      const std::size_t nb = std::min(kBlock, kN - b);
+      for (std::size_t i = 0; i < nb; ++i) fb.set(i, lf[b + i]);
+      particles::kick_pass(opt_p, b, nb, qmdt2, fb);
+    }
+  });
+
+  if (!same_bytes(ref_p.ux, opt_p.ux) || !same_bytes(ref_p.uy, opt_p.uy) ||
+      !same_bytes(ref_p.uz, opt_p.uz)) {
+    std::printf("kick     FAIL: momenta differ\n");
+    return false;
+  }
+  return report("kick", ref, opt);
+}
+
+// ----------------------------------------------------------------- push --
+
+/// The pre-pass periodic wrap: the general formula for every position.
+double wrap_ref(double v, double l) {
+  v -= l * static_cast<double>(static_cast<long long>(v / l));
+  if (v < 0.0) v += l;
+  if (v >= l) v -= l;
+  return v;
+}
+
+/// The pre-pass position update: an out-of-line call per particle.
+[[gnu::noinline]] void advance_position_ref(const mesh::GridDesc& g,
+                                            ParticleArray& p, std::size_t i,
+                                            double dt) {
+  const double gamma = std::sqrt(1.0 + p.ux[i] * p.ux[i] +
+                                 p.uy[i] * p.uy[i] + p.uz[i] * p.uz[i]);
+  p.x[i] = wrap_ref(p.x[i] + dt * p.ux[i] / gamma, g.lx);
+  p.y[i] = wrap_ref(p.y[i] + dt * p.uy[i] / gamma, g.ly);
+}
+
+bool check_push() {
+  constexpr std::size_t kN = 65536;
+  constexpr double kDt = 0.3;
+  const mesh::GridDesc g(256, 128);
+  const sfc::HilbertCurve curve(g.nx, g.ny);
+  const sfc::IndexCache cache(curve, g.nx, g.ny);
+  const ParticleArray p0 = guard_particles(g, kN, 61);
+
+  ParticleArray ref_p = p0, opt_p = p0;
+  const double ref = best_of(5, [&] {
+    for (std::size_t i = 0; i < kN; ++i) {
+      advance_position_ref(g, ref_p, i, kDt);
+      ref_p.key[i] = core::key_of(cache, g, ref_p.x[i], ref_p.y[i]);
+    }
+  });
+  const double opt = best_of(5, [&] {
+    constexpr std::size_t kBlock = particles::kBlock;
+    double px[kBlock]{}, py[kBlock]{};
+    for (std::size_t b = 0; b < kN; b += kBlock) {
+      const std::size_t nb = std::min(kBlock, kN - b);
+      particles::position_pass(opt_p, b, nb, kDt, px, py);
+      for (std::size_t i = 0; i < nb; ++i) {
+        opt_p.x[b + i] = g.wrap_x(px[i]);
+        opt_p.y[b + i] = g.wrap_y(py[i]);
+      }
+      core::assign_keys(cache, g, opt_p, b, b + nb);
+    }
+  });
+
+  if (!same_bytes(ref_p.x, opt_p.x) || !same_bytes(ref_p.y, opt_p.y) ||
+      ref_p.key != opt_p.key) {
+    std::printf("push     FAIL: positions or keys differ\n");
+    return false;
+  }
+  return report("push", ref, opt);
+}
+
 // --------------------------------------------------------------- memory --
 
 /// Max per-rank transport bytes after a few rounds of nearest-neighbor
@@ -277,6 +432,8 @@ int main() {
   ok &= check_merge();
   ok &= check_scatter();
   ok &= check_index();
+  ok &= check_kick();
+  ok &= check_push();
   ok &= check_memory();
   if (!ok) {
     std::printf("# PERF GUARD FAILED\n");

@@ -5,6 +5,7 @@
 // overlap the (identically ordered) mesh subdomains.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "mesh/grid.hpp"
@@ -28,6 +29,13 @@ void assign_keys(const sfc::Curve& curve, const mesh::GridDesc& grid,
 /// the keys of the curve the cache was built from.
 void assign_keys(const sfc::IndexCache& cache, const mesh::GridDesc& grid,
                  particles::ParticleArray& p);
+
+/// Key pass: the same over particles [begin, end) only (the push phase
+/// re-keys each block after moving it), with the cell size hoisted out of
+/// the loop. Keys equal key_of/encode_key of each particle bit for bit.
+void assign_keys(const sfc::IndexCache& cache, const mesh::GridDesc& grid,
+                 particles::ParticleArray& p, std::size_t begin,
+                 std::size_t end);
 
 /// Recompute the key of a single particle (used after the push phase moves
 /// it). Returns the new key.

@@ -66,26 +66,34 @@ struct GridDesc {
   }
 
   /// Wrap a physical position into the periodic domain.
-  double wrap_x(double x) const {
-    x -= lx * static_cast<double>(static_cast<long long>(x / lx));
-    if (x < 0.0) x += lx;
-    if (x >= lx) x -= lx;
-    return x;
-  }
-  double wrap_y(double y) const {
-    y -= ly * static_cast<double>(static_cast<long long>(y / ly));
-    if (y < 0.0) y += ly;
-    if (y >= ly) y -= ly;
-    return y;
-  }
+  double wrap_x(double x) const { return wrap(x, lx); }
+  double wrap_y(double y) const { return wrap(y, ly); }
 
   /// Cell containing wrapped position (x, y).
   std::uint64_t cell_of(double x, double y) const {
-    auto cx = static_cast<std::uint32_t>(x / dx());
-    auto cy = static_cast<std::uint32_t>(y / dy());
+    return cell_of(x, y, dx(), dy());
+  }
+
+  /// cell_of with the cell size passed in: loops hoist dx()/dy() out, so a
+  /// position costs one divide per axis (DESIGN.md §10, particle passes).
+  std::uint64_t cell_of(double x, double y, double cdx, double cdy) const {
+    auto cx = static_cast<std::uint32_t>(x / cdx);
+    auto cy = static_cast<std::uint32_t>(y / cdy);
     if (cx >= nx) cx = nx - 1;  // guards x == lx after rounding
     if (cy >= ny) cy = ny - 1;
     return node_id(cx, cy);
+  }
+
+private:
+  /// In-range positions return unchanged: for 0 <= v < l the quotient v/l
+  /// rounds below 1, so the general formula subtracts l * +0.0 and returns
+  /// v itself (-0.0 included). Out-of-range and NaN take the formula.
+  static double wrap(double v, double l) {
+    if (v >= 0.0 && v < l) return v;
+    v -= l * static_cast<double>(static_cast<long long>(v / l));
+    if (v < 0.0) v += l;
+    if (v >= l) v -= l;
+    return v;
   }
 };
 

@@ -1,57 +1,51 @@
 #include "particles/pusher.hpp"
 
-#include <cmath>
-
 namespace picpar::particles {
 
-void boris_kick(double q, double m, double dt, const LocalFields& f,
-                double& ux, double& uy, double& uz) {
-  const double qmdt2 = 0.5 * q * dt / m;
-
-  // Half electric acceleration.
-  double umx = ux + qmdt2 * f.ex;
-  double umy = uy + qmdt2 * f.ey;
-  double umz = uz + qmdt2 * f.ez;
-
-  // Magnetic rotation at the mid-step gamma.
-  const double gamma = std::sqrt(1.0 + umx * umx + umy * umy + umz * umz);
-  const double tx = qmdt2 * f.bx / gamma;
-  const double ty = qmdt2 * f.by / gamma;
-  const double tz = qmdt2 * f.bz / gamma;
-  const double t2 = tx * tx + ty * ty + tz * tz;
-  const double sx = 2.0 * tx / (1.0 + t2);
-  const double sy = 2.0 * ty / (1.0 + t2);
-  const double sz = 2.0 * tz / (1.0 + t2);
-
-  const double upx = umx + (umy * tz - umz * ty);
-  const double upy = umy + (umz * tx - umx * tz);
-  const double upz = umz + (umx * ty - umy * tx);
-
-  umx += upy * sz - upz * sy;
-  umy += upz * sx - upx * sz;
-  umz += upx * sy - upy * sx;
-
-  // Second half electric acceleration.
-  ux = umx + qmdt2 * f.ex;
-  uy = umy + qmdt2 * f.ey;
-  uz = umz + qmdt2 * f.ez;
+void gamma_pass(const ParticleArray& p, std::size_t begin, std::size_t n,
+                double* g) {
+  const double* ux = p.ux.data() + begin;
+  const double* uy = p.uy.data() + begin;
+  const double* uz = p.uz.data() + begin;
+  for (std::size_t i = 0; i < n; ++i) g[i] = gamma_sq(ux[i], uy[i], uz[i]);
+  // The square roots get a scalar loop of their own: with errno-setting
+  // math (the default), a sqrt call keeps the loop around it from
+  // vectorising.
+  for (std::size_t i = 0; i < n; ++i) g[i] = std::sqrt(g[i]);
 }
 
-void advance_position(const mesh::GridDesc& g, ParticleArray& p,
-                      std::size_t i, double dt) {
-  const double gamma = p.gamma(i);
-  p.x[i] = g.wrap_x(p.x[i] + dt * p.ux[i] / gamma);
-  p.y[i] = g.wrap_y(p.y[i] + dt * p.uy[i] / gamma);
+void kick_pass(ParticleArray& p, std::size_t begin, std::size_t n,
+               const double* qmdt2, const FieldBlock& f) {
+  double* ux = p.ux.data() + begin;
+  double* uy = p.uy.data() + begin;
+  double* uz = p.uz.data() + begin;
+  double umx[kBlock]{}, umy[kBlock]{}, umz[kBlock]{}, g[kBlock]{};
+  for (std::size_t i = 0; i < n; ++i) {
+    umx[i] = ux[i] + qmdt2[i] * f.ex[i];
+    umy[i] = uy[i] + qmdt2[i] * f.ey[i];
+    umz[i] = uz[i] + qmdt2[i] * f.ez[i];
+    g[i] = gamma_sq(umx[i], umy[i], umz[i]);
+  }
+  for (std::size_t i = 0; i < n; ++i) g[i] = std::sqrt(g[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    const LocalFields fi{f.ex[i], f.ey[i], f.ez[i], f.bx[i], f.by[i], f.bz[i]};
+    boris_rotate(qmdt2[i], g[i], fi, umx[i], umy[i], umz[i], ux[i], uy[i],
+                 uz[i]);
+  }
 }
 
-bool advance_position_absorb_x(const mesh::GridDesc& g, ParticleArray& p,
-                               std::size_t i, double dt) {
-  const double gamma = p.gamma(i);
-  const double nx = p.x[i] + dt * p.ux[i] / gamma;
-  if (nx < 0.0 || nx >= g.lx) return false;
-  p.x[i] = nx;
-  p.y[i] = g.wrap_y(p.y[i] + dt * p.uy[i] / gamma);
-  return true;
+void position_pass(const ParticleArray& p, std::size_t begin, std::size_t n,
+                   double dt, double* px, double* py) {
+  const double* x = p.x.data() + begin;
+  const double* y = p.y.data() + begin;
+  const double* ux = p.ux.data() + begin;
+  const double* uy = p.uy.data() + begin;
+  double g[kBlock]{};
+  gamma_pass(p, begin, n, g);
+  for (std::size_t i = 0; i < n; ++i) {
+    px[i] = position_step(x[i], ux[i], g[i], dt);
+    py[i] = position_step(y[i], uy[i], g[i], dt);
+  }
 }
 
 void leapfrog_kick(double q, double m, double dt, double ex, double ey,

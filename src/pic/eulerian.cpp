@@ -76,7 +76,10 @@ PicResult run_eulerian(const PicParams& params) {
       if (part.owner(cell) == rank) mine.push_back(global.rec(i));
     }
     const double q = mine.charge();
-    const double mass = mine.mass();
+    constexpr std::size_t kBlock = particles::kBlock;
+    double qmdt2[kBlock]{};
+    std::fill(qmdt2, qmdt2 + kBlock,
+              particles::boris_qmdt2(q, mine.mass(), dt));
 
     for (int iter = 0; iter < params.iterations; ++iter) {
       // ---- Scatter ----
@@ -119,32 +122,38 @@ PicResult run_eulerian(const PicParams& params) {
       // ---- Gather ----
       comm.set_phase(Phase::kGather);
       ghosts.fetch_fields(comm, f);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        // picpar-lint: allow(float-reduction-order) fixed 4-point stencil
-        particles::LocalFields lf;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          const auto l = lg.local_of(st.node[k]);
-          if (l != mesh::kNoLocal && l < lg.owned()) {
-            lf.ex += w * f.ex[l];
-            lf.ey += w * f.ey[l];
-            lf.ez += w * f.ez[l];
-            lf.bx += w * f.bx[l];
-            lf.by += w * f.by[l];
-            lf.bz += w * f.bz[l];
-          } else {
-            const double* s = ghosts.field_slot(st.node[k]);
-            lf.ex += w * s[0];
-            lf.ey += w * s[1];
-            lf.ez += w * s[2];
-            lf.bx += w * s[3];
-            lf.by += w * s[4];
-            lf.bz += w * s[5];
+      particles::CicStencil st[kBlock]{};
+      particles::FieldBlock fb{};
+      for (std::size_t b = 0; b < n; b += kBlock) {
+        const std::size_t nb = std::min(kBlock, n - b);
+        particles::cic_pass(grid, mine.x.data() + b, mine.y.data() + b, nb,
+                            st);
+        for (std::size_t i = 0; i < nb; ++i) {
+          // picpar-lint: allow(float-reduction-order) fixed 4-point stencil
+          particles::LocalFields lf;
+          for (int k = 0; k < 4; ++k) {
+            const double w = st[i].weight[k];
+            const auto l = lg.local_of(st[i].node[k]);
+            if (l != mesh::kNoLocal && l < lg.owned()) {
+              lf.ex += w * f.ex[l];
+              lf.ey += w * f.ey[l];
+              lf.ez += w * f.ez[l];
+              lf.bx += w * f.bx[l];
+              lf.by += w * f.by[l];
+              lf.bz += w * f.bz[l];
+            } else {
+              const double* s = ghosts.field_slot(st[i].node[k]);
+              lf.ex += w * s[0];
+              lf.ey += w * s[1];
+              lf.ez += w * s[2];
+              lf.bx += w * s[3];
+              lf.by += w * s[4];
+              lf.bz += w * s[5];
+            }
           }
+          fb.set(i, lf);
         }
-        particles::boris_kick(q, mass, dt, lf, mine.ux[i], mine.uy[i],
-                              mine.uz[i]);
+        particles::kick_pass(mine, b, nb, qmdt2, fb);
       }
       comm.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 

@@ -149,7 +149,10 @@ PicResult run_replicated(const PicParams& params) {
         mine.push_back(global.rec(static_cast<std::size_t>(i)));
     }
     const double q = mine.charge();
-    const double mass = mine.mass();
+    constexpr std::size_t kBlock = particles::kBlock;
+    double qmdt2[kBlock]{};
+    std::fill(qmdt2, qmdt2 + kBlock,
+              particles::boris_qmdt2(q, mine.mass(), dt));
 
     for (int iter = 0; iter < params.iterations; ++iter) {
       // ---- Scatter: local deposition + global element-wise sum ----
@@ -189,22 +192,28 @@ PicResult run_replicated(const PicParams& params) {
 
       // ---- Gather + push: purely local ----
       comm.set_phase(Phase::kGather);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        // picpar-lint: allow(float-reduction-order) fixed 4-point stencil
-        particles::LocalFields lf;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          const auto id = static_cast<std::size_t>(st.node[k]);
-          lf.ex += w * f.ex[id];
-          lf.ey += w * f.ey[id];
-          lf.ez += w * f.ez[id];
-          lf.bx += w * f.bx[id];
-          lf.by += w * f.by[id];
-          lf.bz += w * f.bz[id];
+      particles::CicStencil st[kBlock]{};
+      particles::FieldBlock fb{};
+      for (std::size_t b = 0; b < n; b += kBlock) {
+        const std::size_t nb = std::min(kBlock, n - b);
+        particles::cic_pass(grid, mine.x.data() + b, mine.y.data() + b, nb,
+                            st);
+        for (std::size_t i = 0; i < nb; ++i) {
+          // picpar-lint: allow(float-reduction-order) fixed 4-point stencil
+          particles::LocalFields lf;
+          for (int k = 0; k < 4; ++k) {
+            const double w = st[i].weight[k];
+            const auto id = static_cast<std::size_t>(st[i].node[k]);
+            lf.ex += w * f.ex[id];
+            lf.ey += w * f.ey[id];
+            lf.ez += w * f.ez[id];
+            lf.bx += w * f.bx[id];
+            lf.by += w * f.by[id];
+            lf.bz += w * f.bz[id];
+          }
+          fb.set(i, lf);
         }
-        particles::boris_kick(q, mass, dt, lf, mine.ux[i], mine.uy[i],
-                              mine.uz[i]);
+        particles::kick_pass(mine, b, nb, qmdt2, fb);
       }
       comm.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 

@@ -599,6 +599,14 @@ PicResult run_pic(const PicParams& params) {
       ghosts.begin_iteration();
       f.clear_sources();
       const std::size_t n = mine.size();
+      // The particle loops run as passes over blocks of kBlock particles
+      // (DESIGN.md §10, "Particle passes"): branch-free arithmetic in tight
+      // loops, order-sensitive work in one scalar loop per block in particle
+      // order. Scratch lives on this stack frame.
+      constexpr std::size_t kBlock = particles::kBlock;
+      particles::CicStencil st[kBlock]{};
+      double g[kBlock]{}, qv[kBlock]{}, jx[kBlock]{}, jy[kBlock]{},
+          jz[kBlock]{};
       // Per-cell stencil-destination memo (DESIGN.md §10): particles are
       // kept sorted along the curve, so consecutive particles usually share
       // a cell. Resolve the four vertex destinations (owned local index or
@@ -609,42 +617,54 @@ PicResult run_pic(const PicParams& params) {
       std::uint64_t memo_cell = ~std::uint64_t{0};
       bool memo_owned[4] = {false, false, false, false};
       std::uint32_t memo_idx[4] = {0, 0, 0, 0};
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        if (st.node[0] != memo_cell) {
-          memo_cell = st.node[0];
-          for (int k = 0; k < 4; ++k) {
-            const auto l = lg.local_of(st.node[k]);
-            if (l != mesh::kNoLocal && l < lg.owned()) {
-              memo_owned[k] = true;
-              memo_idx[k] = l;
-            } else {
-              memo_owned[k] = false;
-              memo_idx[k] = ghosts.deposit_slot_index(st.node[k]);
-            }
+      for (std::size_t b = 0; b < n; b += kBlock) {
+        const std::size_t nb = std::min(kBlock, n - b);
+        particles::cic_pass(grid, mine.x.data() + b, mine.y.data() + b, nb,
+                            st);
+        // Current pass: j = qv u / gamma. Single-species arithmetic is
+        // exactly the legacy expression (the hoisted q).
+        particles::gamma_pass(mine, b, nb, g);
+        for (std::size_t i = 0; i < nb; ++i)
+          qv[i] = (multi ? mine.charge_of(b + i) : q) * inv_cell;
+        {
+          const double* ux = mine.ux.data() + b;
+          const double* uy = mine.uy.data() + b;
+          const double* uz = mine.uz.data() + b;
+          for (std::size_t i = 0; i < nb; ++i) {
+            jx[i] = qv[i] * ux[i] / g[i];
+            jy[i] = qv[i] * uy[i] / g[i];
+            jz[i] = qv[i] * uz[i] / g[i];
           }
         }
-        const double gamma = mine.gamma(i);
-        // Single-species arithmetic is exactly the legacy expression (the
-        // hoisted q), so stride-1 runs stay bit-identical.
-        const double qv = (multi ? mine.charge_of(i) : q) * inv_cell;
-        const double jx = qv * mine.ux[i] / gamma;
-        const double jy = qv * mine.uy[i] / gamma;
-        const double jz = qv * mine.uz[i] / gamma;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          if (memo_owned[k]) {
-            const auto l = memo_idx[k];
-            f.jx[l] += w * jx;
-            f.jy[l] += w * jy;
-            f.jz[l] += w * jz;
-            f.rho[l] += w * qv;
-          } else {
-            double* slot = ghosts.deposit_data(memo_idx[k]);
-            slot[0] += w * jx;
-            slot[1] += w * jy;
-            slot[2] += w * jz;
-            slot[3] += w * qv;
+        for (std::size_t i = 0; i < nb; ++i) {
+          if (st[i].node[0] != memo_cell) {
+            memo_cell = st[i].node[0];
+            for (int k = 0; k < 4; ++k) {
+              const auto l = lg.local_of(st[i].node[k]);
+              if (l != mesh::kNoLocal && l < lg.owned()) {
+                memo_owned[k] = true;
+                memo_idx[k] = l;
+              } else {
+                memo_owned[k] = false;
+                memo_idx[k] = ghosts.deposit_slot_index(st[i].node[k]);
+              }
+            }
+          }
+          for (int k = 0; k < 4; ++k) {
+            const double w = st[i].weight[k];
+            if (memo_owned[k]) {
+              const auto l = memo_idx[k];
+              f.jx[l] += w * jx[i];
+              f.jy[l] += w * jy[i];
+              f.jz[l] += w * jz[i];
+              f.rho[l] += w * qv[i];
+            } else {
+              double* slot = ghosts.deposit_data(memo_idx[k]);
+              slot[0] += w * jx[i];
+              slot[1] += w * jy[i];
+              slot[2] += w * jz[i];
+              slot[3] += w * qv[i];
+            }
           }
         }
       }
@@ -686,98 +706,106 @@ PicResult run_pic(const PicParams& params) {
       ghosts.fetch_fields(c, f);
       // Same per-cell memo as the scatter loop; positions are unchanged
       // since scatter, so every vertex is either owned or already has a
-      // ghost slot from the deposit pass.
+      // ghost slot from the deposit pass. The stencil is recomputed rather
+      // than kept from scatter: keeping it would cost 64 B per particle of
+      // memory across the field exchange.
       memo_cell = ~std::uint64_t{0};
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        if (st.node[0] != memo_cell) {
-          memo_cell = st.node[0];
-          for (int k = 0; k < 4; ++k) {
-            const auto l = lg.local_of(st.node[k]);
-            if (l != mesh::kNoLocal && l < lg.owned()) {
-              memo_owned[k] = true;
-              memo_idx[k] = l;
-            } else {
-              memo_owned[k] = false;
-              memo_idx[k] = ghosts.slot_of(st.node[k]);
+      {
+        const double qmdt2_all = particles::boris_qmdt2(q, m, dt);
+        const double t_drive = static_cast<double>(iter) * dt;
+        particles::FieldBlock fb{};
+        double qmdt2[kBlock]{};
+        for (std::size_t b = 0; b < n; b += kBlock) {
+          const std::size_t nb = std::min(kBlock, n - b);
+          particles::cic_pass(grid, mine.x.data() + b, mine.y.data() + b, nb,
+                              st);
+          for (std::size_t i = 0; i < nb; ++i) {
+            if (st[i].node[0] != memo_cell) {
+              memo_cell = st[i].node[0];
+              for (int k = 0; k < 4; ++k) {
+                const auto l = lg.local_of(st[i].node[k]);
+                if (l != mesh::kNoLocal && l < lg.owned()) {
+                  memo_owned[k] = true;
+                  memo_idx[k] = l;
+                } else {
+                  memo_owned[k] = false;
+                  memo_idx[k] = ghosts.slot_of(st[i].node[k]);
+                }
+              }
             }
+            // picpar-lint: allow(float-reduction-order) fixed 4-point stencil
+            particles::LocalFields lf;
+            for (int k = 0; k < 4; ++k) {
+              const double w = st[i].weight[k];
+              if (memo_owned[k]) {
+                const auto l = memo_idx[k];
+                lf.ex += w * f.ex[l];
+                lf.ey += w * f.ey[l];
+                lf.ez += w * f.ez[l];
+                lf.bx += w * f.bx[l];
+                lf.by += w * f.by[l];
+                lf.bz += w * f.bz[l];
+              } else {
+                const double* s = ghosts.field_data(memo_idx[k]);
+                lf.ex += w * s[0];
+                lf.ey += w * s[1];
+                lf.ez += w * s[2];
+                lf.bx += w * s[3];
+                lf.by += w * s[4];
+                lf.bz += w * s[5];
+              }
+            }
+            // Scenario driver: analytic E contribution, a pure function of
+            // (virtual time, position). Branch-gated so legacy runs never
+            // touch the interpolated values (even += 0.0 could flip a -0.0).
+            if (driver_on) {
+              const auto dv = scenario::driver_field(
+                  sc->driver, grid, t_drive, mine.x[b + i], mine.y[b + i]);
+              lf.ex += dv.ex;
+              lf.ey += dv.ey;
+            }
+            fb.set(i, lf);
+            qmdt2[i] = multi ? particles::boris_qmdt2(mine.charge_of(b + i),
+                                                      mine.mass_of(b + i), dt)
+                             : qmdt2_all;
           }
+          particles::kick_pass(mine, b, nb, qmdt2, fb);
         }
-        // picpar-lint: allow(float-reduction-order) fixed 4-point stencil
-        particles::LocalFields lf;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          if (memo_owned[k]) {
-            const auto l = memo_idx[k];
-            lf.ex += w * f.ex[l];
-            lf.ey += w * f.ey[l];
-            lf.ez += w * f.ez[l];
-            lf.bx += w * f.bx[l];
-            lf.by += w * f.by[l];
-            lf.bz += w * f.bz[l];
-          } else {
-            const double* s = ghosts.field_data(memo_idx[k]);
-            lf.ex += w * s[0];
-            lf.ey += w * s[1];
-            lf.ez += w * s[2];
-            lf.bx += w * s[3];
-            lf.by += w * s[4];
-            lf.bz += w * s[5];
-          }
-        }
-        // Scenario driver: analytic E contribution, a pure function of
-        // (virtual time, position). Branch-gated so legacy runs never touch
-        // the interpolated values (even += 0.0 could flip a -0.0).
-        if (driver_on) {
-          const auto dv = scenario::driver_field(
-              sc->driver, grid, static_cast<double>(iter) * dt, mine.x[i],
-              mine.y[i]);
-          lf.ex += dv.ex;
-          lf.ey += dv.ey;
-        }
-        const double qi = multi ? mine.charge_of(i) : q;
-        const double mi = multi ? mine.mass_of(i) : m;
-        particles::boris_kick(qi, mi, dt, lf, mine.ux[i], mine.uy[i],
-                              mine.uz[i]);
       }
       c.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 
       // ---- Push phase ----
       c.set_phase(Phase::kPush);
       {
-        const std::uint64_t stride = mine.key_stride();
-        if (!absorb_x && stride == 1) {
-          // Legacy loop, kept verbatim for bit-identity.
-          for (std::size_t i = 0; i < n; ++i) {
-            particles::advance_position(grid, mine, i, dt);
-            mine.key[i] = core::key_of(key_cache, grid, mine.x[i], mine.y[i]);
-          }
-        } else {
-          // Species-aware push with optional open x boundary. Absorbed
-          // particles are compacted out with a write index, preserving the
-          // relative order of the survivors (swap_remove would scramble the
-          // curve order the incremental sort relies on).
-          std::size_t w = 0;
-          for (std::size_t i = 0; i < n; ++i) {
-            if (absorb_x) {
-              if (!particles::advance_position_absorb_x(grid, mine, i, dt)) {
-                ++rec.absorbed;
-                continue;
-              }
-            } else {
-              particles::advance_position(grid, mine, i, dt);
+        // Absorbed particles are compacted out with a write index,
+        // preserving the relative order of the survivors (swap_remove would
+        // scramble the curve order the incremental sort relies on). Writes
+        // land at or below the particle being read, and a block's positions
+        // are read by its position pass before any of its writes.
+        double px[kBlock]{}, py[kBlock]{};
+        std::size_t w = 0;
+        for (std::size_t b = 0; b < n; b += kBlock) {
+          const std::size_t nb = std::min(kBlock, n - b);
+          particles::position_pass(mine, b, nb, dt, px, py);
+          const std::size_t w0 = w;
+          for (std::size_t i = 0; i < nb; ++i) {
+            if (absorb_x && (px[i] < 0.0 || px[i] >= grid.lx)) {
+              ++rec.absorbed;
+              continue;
             }
-            const std::uint64_t key =
-                stride == 1
-                    ? core::key_of(key_cache, grid, mine.x[i], mine.y[i])
-                    : core::encode_key(key_cache, grid, mine.x[i], mine.y[i],
-                                       stride, mine.key[i] % stride);
-            if (w != i) mine.set(w, mine.rec(i));
-            mine.key[w] = key;
+            mine.x[w] = absorb_x ? px[i] : grid.wrap_x(px[i]);
+            mine.y[w] = grid.wrap_y(py[i]);
+            if (const std::size_t r = b + i; w != r) {
+              mine.ux[w] = mine.ux[r];
+              mine.uy[w] = mine.uy[r];
+              mine.uz[w] = mine.uz[r];
+              mine.key[w] = mine.key[r];
+            }
             ++w;
           }
-          if (w != n) mine.truncate(w);
+          core::assign_keys(key_cache, grid, mine, w0, w);
         }
+        if (w != n) mine.truncate(w);
       }
       c.charge(static_cast<double>(n) * pc.push_per_particle * delta);
       // Absorption shrinks the conservation reference; the lost count is

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace picpar::mesh {
 namespace {
@@ -66,6 +67,32 @@ TEST(GridDesc, WrapBoundaryLandsInside) {
   const double x = g.wrap_x(4.0);
   EXPECT_GE(x, 0.0);
   EXPECT_LT(x, 4.0);
+}
+
+/// The wrap formula without the in-range fast path.
+double wrap_reference(double v, double l) {
+  v -= l * static_cast<double>(static_cast<long long>(v / l));
+  if (v < 0.0) v += l;
+  if (v >= l) v -= l;
+  return v;
+}
+
+TEST(GridDesc, WrapFastPathMatchesFormulaBitForBit) {
+  // Power-of-two, unit and inexact extents.
+  for (const double l : {8.0, 1.0, 3.3, 0.7}) {
+    const GridDesc g(8, 4, l, l);
+    for (const double v :
+         {-0.0, 0.0, std::nextafter(l, 0.0), l, -1e-300, -l, 3.5 * l, 0.5 * l,
+          std::nextafter(0.0, 1.0)}) {
+      const double want = wrap_reference(v, l);
+      const double gx = g.wrap_x(v);
+      const double gy = g.wrap_y(v);
+      EXPECT_EQ(std::memcmp(&gx, &want, sizeof want), 0)
+          << "l=" << l << " v=" << v << ": " << gx << " vs " << want;
+      EXPECT_EQ(std::memcmp(&gy, &want, sizeof want), 0)
+          << "l=" << l << " v=" << v << ": " << gy << " vs " << want;
+    }
+  }
 }
 
 TEST(GridDesc, CellOfMapsPositions) {
