@@ -20,17 +20,17 @@
 // happens-before DAG; two runs of a deterministic program produce the same
 // fingerprint (see analysis/audit.hpp for the two-run audit).
 //
-// Execution-mode independence: the analyzer works identically under the
-// sequential reference scheduler and the parallel engine (src/runtime).
-// Every callback touches only the state of the rank it fires on — on_send
-// runs on the sender's thread outside any engine lock, so nothing in it may
-// look across ranks — and all cross-rank analysis (race detection against
-// later-consumed or never-consumed messages) is deferred to on_run_end,
-// the quiescence point, where per-rank buffers are merged in rank order.
-// Because the per-rank event sequences, vector clocks, and leftover message
-// sets are schedule-independent (the machine's deterministic matching layer
-// guarantees this), the merged findings, counts, report text, and
-// fingerprint are byte-identical across modes.
+// Pick-order independence: the analyzer works identically under every
+// scheduler pick order (sim::Machine::set_pick_seed). Every callback
+// touches only the state of the rank it fires on — how far the other ranks
+// have got depends on the pick order — and all cross-rank analysis (race
+// detection against later-consumed or never-consumed messages) is deferred
+// to on_run_end, the quiescence point, where per-rank buffers are merged in
+// rank order. Because the per-rank event sequences, vector clocks, and
+// leftover message sets are schedule-independent (the machine's
+// deterministic matching layer guarantees this), the merged findings,
+// counts, report text, and fingerprint are byte-identical under every pick
+// order.
 //
 // Receives completed inside Comm collectives are exempt from race findings:
 // the collective library's wildcard receives (all_to_many) key their
@@ -165,7 +165,7 @@ private:
 
   /// Everything one rank's callbacks may write. Callbacks on rank r touch
   /// only rank_[r] (and clocks_[r]) — the invariant that makes the
-  /// analyzer safe under the parallel engine with no locking of its own.
+  /// analyzer's output independent of the pick order.
   struct RankBuffer {
     std::uint64_t fp = 0;
     std::uint64_t events = 0;

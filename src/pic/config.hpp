@@ -86,8 +86,8 @@ struct AnalysisParams {
 /// the trace layer. The PICPAR_TRACE=<path> environment variable (non-empty,
 /// not "0") also enables tracing for any run without a rebuild, writing a
 /// Chrome-trace JSON to <path>; PICPAR_TRACE_METRICS=<path> writes the
-/// metrics JSON. Exported virtual-time artifacts are byte-identical between
-/// sequential and parallel execution.
+/// metrics JSON. Exported virtual-time artifacts are byte-identical under
+/// every pick order.
 struct TraceParams {
   /// Attach the tracer to the simulated machine.
   bool enabled = false;
@@ -104,15 +104,12 @@ struct TraceParams {
   bool on() const { return enabled || !path.empty() || !metrics_path.empty(); }
 };
 
-/// Execution engine selection for the simulated machine. Sequential is
-/// the reference scheduler; parallel runs ranks concurrently on real cores
-/// through src/runtime with bit-identical results (the PICPAR_PARALLEL
-/// environment variable — set, not "0" — also selects it without a
-/// rebuild, and PICPAR_WORKERS overrides the worker count).
+/// How the simulated machine schedules its ranks. Never changes a result.
 struct ExecParams {
-  bool parallel = false;
-  /// Max ranks executing concurrently; 0 = host hardware concurrency.
-  int workers = 0;
+  /// sim::Machine::set_pick_seed: 0 keeps the cyclic pick order; any other
+  /// value permutes it, which tests use to show results do not depend on
+  /// rank execution order.
+  std::uint64_t pick_seed = 0;
 };
 
 struct PicParams {
@@ -155,7 +152,7 @@ struct PicParams {
   AnalysisParams analyze{};
   /// Deterministic tracing and metrics (default: off).
   TraceParams trace{};
-  /// Execution engine (default: sequential reference scheduler).
+  /// Scheduling (default: cyclic pick order).
   ExecParams exec{};
 
   /// Record global field/kinetic energy every k iterations (0 = off).
@@ -169,10 +166,9 @@ struct PicParams {
   /// produce the same bytes iff run_pic would produce the same PicResult
   /// content, so the text is the identity the sweep result cache keys on.
   /// Environment overrides that change run semantics (PICPAR_CRASH_*,
-  /// PICPAR_ANALYZE, PICPAR_TRACE*) are folded in; `exec` and the
-  /// PICPAR_PARALLEL/PICPAR_WORKERS variables are deliberately excluded —
-  /// the parallel engine is bit-identical to the sequential scheduler, so
-  /// execution mode never changes the result. Trace output *paths* are
+  /// PICPAR_ANALYZE, PICPAR_TRACE*) are folded in; `exec` is deliberately
+  /// excluded — a run is bit-identical under every pick order, so the pick
+  /// seed never changes the result. Trace output *paths* are
   /// likewise excluded (they name sinks, not semantics); whether tracing is
   /// on is included. See fingerprint.cpp and DESIGN.md §13.
   std::string canonical() const;

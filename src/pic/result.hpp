@@ -93,8 +93,8 @@ struct PicResult {
 
   // Deterministic tracing (populated when PicParams::trace or PICPAR_TRACE
   // enables the tracer; see src/trace). The exported strings contain only
-  // virtual-time quantities, so they are byte-identical between sequential
-  // and parallel execution.
+  // virtual-time quantities, so they are byte-identical under every pick
+  // order.
   bool traced = false;
   std::uint64_t trace_events = 0;   ///< observer callbacks during the run
   std::string metrics_json;         ///< MetricsSnapshot::to_json()

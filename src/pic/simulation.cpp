@@ -20,7 +20,6 @@
 #include "mesh/poisson.hpp"
 #include "particles/interpolate.hpp"
 #include "particles/pusher.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "scenario/scenario.hpp"
 #include "sfc/index_cache.hpp"
 #include "sim/comm.hpp"
@@ -196,7 +195,6 @@ struct CkptBuffer {
 /// after the shard seals completes — otherwise survivors could agree on a
 /// sequence number whose crashed writer left a missing or torn shard.
 struct CheckpointStore {
-  std::mutex mu;  ///< ranks write concurrently under the parallel engine
   int committed_seq = -1;
   CkptBuffer buf[2];
 
@@ -307,7 +305,7 @@ PicResult run_pic(const PicParams& params) {
   CheckpointStore store;
 
   auto program = [&](Comm& comm) {
-    // The world rank is this thread's permanent identity: it indexes host
+    // The world rank is this rank's permanent identity: it indexes host
     // outputs and the fault streams. comm.rank()/comm.size() are group
     // coordinates that shrink after a recovery, so they are re-read after
     // every membership change instead of being cached up front.
@@ -352,7 +350,6 @@ PicResult run_pic(const PicParams& params) {
       const int p = c.size();
       const int grank = c.rank();
       {
-        std::lock_guard<std::mutex> lk(store.mu);
         auto& b = store.buf[seq & 1];
         if (b.seq != seq) {
           b.seq = seq;
@@ -371,20 +368,13 @@ PicResult run_pic(const PicParams& params) {
       // Serialization cost — and a fail-stop point: a crash here leaves the
       // shard unsealed (valid == false), the torn write the loader rejects.
       c.charge_ops(static_cast<std::uint64_t>(mine.size()));
-      {
-        std::lock_guard<std::mutex> lk(store.mu);
-        store.buf[seq & 1].shards[static_cast<std::size_t>(grank)].valid =
-            true;
-      }
+      store.buf[seq & 1].shards[static_cast<std::size_t>(grank)].valid = true;
       // Commit is collective. Without this barrier, survivors could all be
       // past their own seals while the crashed rank was still mid-write:
       // they would agree on `seq` as restorable even though one shard is
       // torn. Completing the barrier proves every shard was sealed first.
       c.barrier();
-      {
-        std::lock_guard<std::mutex> lk(store.mu);
-        if (store.committed_seq < seq) store.committed_seq = seq;
-      }
+      if (store.committed_seq < seq) store.committed_seq = seq;
       ckpt_seq = seq;
     };
 
@@ -446,12 +436,8 @@ PicResult run_pic(const PicParams& params) {
       // Survivors threw from different program points; align the shared
       // recovery counters before using them.
       recoveries = c.allreduce_max(recoveries);
-      int rseq = -1, rit = -1;
-      {
-        std::lock_guard<std::mutex> lk(store.mu);
-        rseq = store.committed_seq;
-        if (rseq >= 0) rit = store.buf[rseq & 1].iter;
-      }
+      int rseq = store.committed_seq;
+      int rit = rseq >= 0 ? store.buf[rseq & 1].iter : -1;
       rseq = c.allreduce_min(rseq);
       rit = c.allreduce_min(rit);
       ckpt_seq = rseq;
@@ -484,7 +470,6 @@ PicResult run_pic(const PicParams& params) {
       std::uint64_t lost = 0;
       mine.clear();
       {
-        std::lock_guard<std::mutex> lk(store.mu);
         const auto& b = store.buf[rseq & 1];
         for (int s = 0; s < b.nshards; ++s) {
           const auto& sh = b.shards[static_cast<std::size_t>(s)];
@@ -991,11 +976,7 @@ PicResult run_pic(const PicParams& params) {
   };
 
   sim::Machine machine(params.nranks, params.machine, faults);
-
-  // ---- execution engine (default: sequential reference scheduler) ----
-  if (params.exec.parallel || runtime::parallel_env_enabled())
-    runtime::use_parallel(machine,
-                          runtime::ParallelConfig{params.exec.workers});
+  machine.set_pick_seed(params.exec.pick_seed);
 
   // ---- opt-in happens-before analysis (zero cost when off) ----
   const bool analyze_on = params.analyze.enabled ||
@@ -1202,7 +1183,7 @@ PicResult run_pic(const PicParams& params) {
   // One CSV row per world rank: the peak per-subsystem bytes gathered at
   // the end of the program lambda. Every value is a size-based function of
   // the rank's deterministic history, so two runs of the same program —
-  // sequential or parallel — write byte-identical files; the large-p CI
+  // under any pick seed — write byte-identical files; the large-p CI
   // job relies on that with a straight cmp. Crashed ranks never reach the
   // end of the lambda and report zeros, flagged by alive=0.
   if (const char* mr = env_path("PICPAR_MEM_REPORT")) {

@@ -10,7 +10,7 @@
 // that every rank evaluates identically (no communication, no rank-
 // dependent draws), field seeds are functions of the *global* node
 // coordinate, and the driver field is a function of (virtual time,
-// position). Sequential and parallel execution therefore stay bit-identical
+// position). Runs therefore stay bit-identical under every pick order
 // for every scenario, and the legacy path (PicParams::scenario == "") is
 // untouched byte-for-byte.
 //

@@ -8,6 +8,7 @@
 
 #include "sim/comm.hpp"
 #include "sim/fiber.hpp"
+#include "util/rng.hpp"
 
 namespace picpar::sim {
 
@@ -50,7 +51,7 @@ FaultCounters RunResult::faults_total() const {
   return t;
 }
 
-/// Sequential scheduler state: one fiber per rank plus the ready set.
+/// Scheduler state: one fiber per rank plus the ready set.
 ///
 /// The ready set replaces a scan of every rank at every yield. A rank's bit
 /// in `ready` means "known runnable"; a bit in `dirty` means "parked, and
@@ -64,6 +65,8 @@ struct Machine::Sched {
   /// watchers[b]: parked wildcard receivers with blocked_by == b (plus
   /// stale entries, skipped when their blocked_by no longer matches).
   std::vector<std::vector<int>> watchers;
+  /// Scan starts under a nonzero pick seed.
+  SplitMix64 pick_rng{0};
 
   static bool test(const std::vector<std::uint64_t>& v, int r) {
     return (v[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1u;
@@ -75,14 +78,16 @@ struct Machine::Sched {
     v[static_cast<std::size_t>(r) >> 6] &= ~(std::uint64_t{1} << (r & 63));
   }
 
-  /// Every rank ready (none has run yet), none dirty, no watchers.
-  void reset(int n) {
+  /// Every rank ready (none has run yet), none dirty, no watchers, and the
+  /// pick stream restarted.
+  void reset(int n, std::uint64_t pick_seed) {
     const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
     ready.assign(words, ~std::uint64_t{0});
     if (n % 64) ready.back() = (std::uint64_t{1} << (n % 64)) - 1;
     dirty.assign(words, 0);
     watchers.resize(static_cast<std::size_t>(n));
     for (auto& w : watchers) w.clear();
+    pick_rng = SplitMix64(pick_seed);
   }
 
   /// Lowest rank in [lo, hi) flagged ready or dirty; -1 = none.
@@ -126,10 +131,9 @@ bool Machine::match(const Message& m, int src, int tag) const {
 // key, where the per-source representative is that source's flow head (the
 // lowest (seq, dup) matching message, which keeps per-link FIFO even when
 // arrival jitter reorders timestamps). The key is a schedule-independent
-// total order: it depends only on message contents, never on when threads
-// physically enqueued them. This is what lets the parallel engine run
-// ranks on real cores and still produce bit-identical results to the
-// sequential reference scheduler.
+// total order: it depends only on message contents, never on the order in
+// which the scheduler ran the senders. That is what makes a run's results
+// independent of its pick order (Machine::set_pick_seed).
 // ---------------------------------------------------------------------------
 
 Machine::Candidate Machine::find_candidate(int rank, int src, int tag) {
@@ -185,11 +189,10 @@ int Machine::commit_blocker(int rank, int src_pattern,
   // a live rank r could still send arrives no earlier than clock_r + tau
   // (message_cost >= tau, jitter >= 0), with key (arrival, r). The
   // candidate (a*, s*) commits only when no such future key can undercut
-  // it. Clocks are monotone, so a stale clock read only delays the commit,
-  // never mis-orders it.
+  // it.
   for (const auto& rs : ranks_) {
     if (rs.id == rank || rs.id == c.src || rs.done) continue;
-    const double lb = rs.clock.load() + cost_.tau;
+    const double lb = rs.clock + cost_.tau;
     if (lb > c.arrival) continue;
     if (lb == c.arrival && rs.id > c.src) continue;
     return rs.id;
@@ -209,9 +212,8 @@ int Machine::stall_pick() {
   // safe. No send can happen until some receive commits, so the messages
   // the safety rule was waiting on can never materialize — commit the
   // globally minimal candidate key. The state itself is deterministic (it
-  // is reached by the same commit sequence in every schedule), so the
-  // choice is too. No candidate anywhere = true deadlock, exactly the
-  // sequential scheduler's deadlock set.
+  // is reached by the same commit sequence in every pick order), so the
+  // choice is too. No candidate anywhere = true deadlock.
   int best_rank = -1;
   Candidate best;
   for (auto& rs : ranks_) {
@@ -234,10 +236,10 @@ int Machine::stall_pick() {
 }
 
 // ---------------------------------------------------------------------------
-// Sequential scheduler: event-driven ready set.
+// Scheduler: event-driven ready set.
 //
-// pick_next returns exactly the rank a cyclic scan from+1, ..., from of
-// runnable() would return, without evaluating every parked rank. A parked
+// pick_next returns exactly the rank a cyclic scan of runnable() from the
+// scan start would return, without evaluating every parked rank. A parked
 // rank's runnability can only change through four events, and each flags
 // the rank dirty (or ready) for re-evaluation:
 //   * a matching message lands in its mailbox (do_send);
@@ -291,6 +293,13 @@ void Machine::wake_watchers(int rank) {
 
 int Machine::pick_next(int from) {
   Sched& s = *sched_;
+  // The scan start: the rank after the one that just parked, or under a
+  // pick seed a drawn rank, so each pick order is a different schedule.
+  const int start =
+      pick_seed_ == 0
+          ? from + 1
+          : static_cast<int>(s.pick_rng.next() %
+                             static_cast<std::uint64_t>(nranks_));
   const auto scan = [&](int lo, int hi) {
     for (int r = s.first(lo, hi); r >= 0; r = s.first(r + 1, hi)) {
       if (Sched::test(s.dirty, r)) {
@@ -304,15 +313,15 @@ int Machine::pick_next(int from) {
     }
     return -1;
   };
-  int next = scan(from + 1, nranks_);
-  if (next < 0) next = scan(0, from + 1);
+  int next = scan(start, nranks_);
+  if (next < 0) next = scan(0, start);
 #ifndef NDEBUG
-  // Reference: the full cyclic scan the ready set replaces. Every rank it
-  // evaluates before its answer was already evaluated above with unchanged
-  // inputs, so the re-evaluation has no side effects.
+  // Reference: the full cyclic scan the ready set replaces, from the same
+  // start. Every rank it evaluates before its answer was already evaluated
+  // above with unchanged inputs, so the re-evaluation has no side effects.
   int scanned = -1;
-  for (int step = 1; step <= nranks_ && scanned < 0; ++step) {
-    const int cand = (from + step) % nranks_;
+  for (int step = 0; step < nranks_ && scanned < 0; ++step) {
+    const int cand = (start + step) % nranks_;
     if (runnable(ranks_[static_cast<std::size_t>(cand)])) scanned = cand;
   }
   assert(scanned == next && "ready-set pick diverged from the cyclic scan");
@@ -426,15 +435,12 @@ void Machine::yield_from(int rank) {
                         " unwound due to deadlock");
 }
 
-int Machine::build_send(int src, int dst, int tag,
-                        std::vector<std::byte> payload, Message out[2],
-                        double* new_clock, bool* reorder_first) {
-  // Everything here touches only sender-owned state (clock arithmetic,
-  // stats, per-destination sequence counters, the sender's fault stream,
-  // per-rank observer state), so the parallel engine runs it outside the
-  // mailbox lock. The caller publishes *new_clock only after enqueueing:
-  // a concurrent lower-bound read must not see the post-charge clock while
-  // the message it bounds is still in flight.
+void Machine::do_send(int src, int dst, int tag,
+                      std::vector<std::byte> payload) {
+  if (dst < 0 || dst >= nranks_)
+    throw std::out_of_range("send: bad destination rank " +
+                            std::to_string(dst));
+  check_crash(src);
   auto& s = ranks_[static_cast<std::size_t>(src)];
   if (strict_tags_ && tag < 0 && s.collective_depth == 0)
     throw std::invalid_argument(
@@ -443,9 +449,7 @@ int Machine::build_send(int src, int dst, int tag,
         "must use tags >= 0");
   const auto bytes = payload.size();
   const double cost = cost_.message_cost(bytes);
-  const double clock = s.clock.load() + cost;
-  *new_clock = clock;
-  *reorder_first = false;
+  s.clock += cost;
   auto& pc = s.stats.phase(s.phase);
   pc.msgs_sent += 1;
   pc.bytes_sent += bytes;
@@ -455,7 +459,7 @@ int Machine::build_send(int src, int dst, int tag,
   m.src = src;
   m.dst = dst;
   m.tag = tag;
-  m.arrival = clock;
+  m.arrival = s.clock;
   m.sent_phase = s.phase;
   m.epoch = s.epoch;
   m.payload = std::move(payload);
@@ -473,15 +477,20 @@ int Machine::build_send(int src, int dst, int tag,
     ev.bytes = bytes;
     ev.phase = s.phase;
     ev.collective_depth = s.collective_depth;
-    ev.vtime = clock;
+    ev.vtime = s.clock;
     // Stamped before any fault perturbation so a duplicated delivery
     // carries the same send event (same vector clock).
     observer_->on_send(m, ev);
   }
 
+  // A receiver parked on a matching pattern may have just become runnable:
+  // queue it for re-evaluation at the next pick.
+  auto& d = ranks_[static_cast<std::size_t>(dst)];
+  if (d.waiting && match(m, d.want_src, d.want_tag)) mark_dirty(dst);
+  auto& dstbox = d.mailbox;
   if (!faults_.message_faults()) {
-    out[0] = std::move(m);
-    return 1;
+    dstbox.push_back(std::move(m));
+    return;
   }
 
   // ---- faulty-fabric path: envelope the payload, then perturb ----
@@ -492,55 +501,23 @@ int Machine::build_send(int src, int dst, int tag,
   // The reorder draw is kept for stream compatibility and counters; under
   // key-based matching the physical queue position is inert — observable
   // reordering comes from jittered arrival timestamps instead.
-  *reorder_first = faults_.should_reorder(src);
+  const bool reorder_first = faults_.should_reorder(src);
+  Message copy;
   if (duplicate) {
-    Message copy = m;
+    copy = m;
     copy.dup = true;
     copy.arrival += faults_.latency_jitter(src);
-    out[0] = std::move(m);
-    out[1] = std::move(copy);
-    return 2;
   }
-  out[0] = std::move(m);
-  return 1;
-}
-
-void Machine::enqueue_messages(Message out[2], int n, bool reorder_first) {
-  auto& dstbox = ranks_[static_cast<std::size_t>(out[0].dst)].mailbox;
   // Cross-flow overtake of the youngest queued message of a different
   // (src, tag) flow — kept for physical-order fidelity (iprobe, reports);
   // matching itself is position-independent.
   if (reorder_first && !dstbox.empty() &&
-      (dstbox.back().src != out[0].src || dstbox.back().tag != out[0].tag)) {
-    dstbox.insert(dstbox.end() - 1, std::move(out[0]));
+      (dstbox.back().src != src || dstbox.back().tag != tag)) {
+    dstbox.insert(dstbox.end() - 1, std::move(m));
   } else {
-    dstbox.push_back(std::move(out[0]));
+    dstbox.push_back(std::move(m));
   }
-  if (n > 1) dstbox.push_back(std::move(out[1]));
-}
-
-void Machine::do_send(int src, int dst, int tag,
-                      std::vector<std::byte> payload) {
-  if (dst < 0 || dst >= nranks_)
-    throw std::out_of_range("send: bad destination rank " +
-                            std::to_string(dst));
-  check_crash(src);
-  if (prt_) {
-    prt_->send(*this, src, dst, tag, std::move(payload));
-    return;
-  }
-  Message out[2];
-  double new_clock = 0.0;
-  bool reorder_first = false;
-  const int n =
-      build_send(src, dst, tag, std::move(payload), out, &new_clock,
-                 &reorder_first);
-  // A receiver parked on a matching pattern may have just become runnable:
-  // queue it for re-evaluation at the next pick.
-  const RankState& d = ranks_[static_cast<std::size_t>(dst)];
-  if (d.waiting && match(out[0], d.want_src, d.want_tag)) mark_dirty(dst);
-  enqueue_messages(out, n, reorder_first);
-  ranks_[static_cast<std::size_t>(src)].clock = new_clock;
+  if (duplicate) dstbox.push_back(std::move(copy));
 }
 
 LinkStats& Machine::link_stats(RankState& rs, int src) {
@@ -642,7 +619,6 @@ Message Machine::do_recv(int rank, int src, int tag, bool fp_payload) {
         " is in the reserved (negative) collective tag space; user receives "
         "must use tags >= 0 or kAnyTag");
   check_crash(rank);
-  if (prt_) return prt_->recv(*this, rank, src, tag, fp_payload);
   for (;;) {
     if (fail_recv_rank_ == rank) {
       fail_recv_rank_ = -1;
@@ -668,7 +644,6 @@ Message Machine::do_recv(int rank, int src, int tag, bool fp_payload) {
 }
 
 bool Machine::do_iprobe(int rank, int src, int tag) {
-  if (prt_) return prt_->iprobe(*this, rank, src, tag);
   for (const auto& m : ranks_[static_cast<std::size_t>(rank)].mailbox)
     if (match(m, src, tag)) return true;
   return false;
@@ -693,16 +668,14 @@ void Machine::charge(int rank, double seconds, bool is_compute) {
 // Fail-stop crash machinery. Crash points are pre-drawn per rank (FaultModel)
 // and compared against the rank's own clock at rank-local boundaries, so the
 // set of crashes reached by any quiescent state is a per-rank property of the
-// program — identical under sequential and parallel execution. All bookkeeping
-// below runs under the owning engine's serialization (one rank at a time, or
-// the engine mutex) or touches only rank-owned state.
+// program — identical under every pick order.
 // ---------------------------------------------------------------------------
 
 void Machine::check_crash(int rank) {
   if (!faults_.crash_faults()) return;
   auto& rs = ranks_[static_cast<std::size_t>(rank)];
   if (rs.crashed) return;
-  const double now = rs.clock.load();
+  const double now = rs.clock;
   if (now < faults_.crash_time(rank)) return;
   faults_.count_crash(rank);
   note_mark(rank, "fault.crash", -1, now);
@@ -734,7 +707,7 @@ void Machine::throw_peer_failure(int rank) {
   auto& rs = ranks_[static_cast<std::size_t>(rank)];
   const double lease = faults_.config().crash_lease_seconds;
   std::vector<CrashRecord> fresh;
-  double bound = rs.clock.load();
+  double bound = rs.clock;
   for (const auto& peer : ranks_) {
     if (!peer.crashed || rs.acked_peer.find(peer.id)) continue;
     rs.acked_peer.ref(peer.id) = 1;
@@ -743,7 +716,7 @@ void Machine::throw_peer_failure(int rank) {
   }
   // Detection costs virtual time: the survivor sits out the dead peer's
   // lease before it may declare the failure, like a heartbeat timeout.
-  const double before = rs.clock.load();
+  const double before = rs.clock;
   rs.clock = bound;
   rs.stats.phase(rs.phase).comm_seconds += bound - before;
   rs.waiting = false;
@@ -782,7 +755,7 @@ bool Machine::try_complete_membership() {
     }
     if (!rs.done) {
       v.survivors.push_back(rs.id);
-      agreed = std::max(agreed, rs.clock.load());
+      agreed = std::max(agreed, rs.clock);
     }
   }
   // Deterministic agreement cost: two binomial sweeps (propose + confirm)
@@ -795,7 +768,7 @@ bool Machine::try_complete_membership() {
   for (auto& rs : ranks_) {
     if (rs.done) continue;
     auto& pc = rs.stats.phase(rs.phase);
-    pc.comm_seconds += v.vtime - rs.clock.load();
+    pc.comm_seconds += v.vtime - rs.clock;
     rs.clock = v.vtime;
     rs.epoch = v.epoch;
     for (const auto& peer : ranks_) {
@@ -827,7 +800,6 @@ bool Machine::try_complete_membership() {
 
 MembershipView Machine::do_agree(int rank) {
   check_crash(rank);
-  if (prt_) return prt_->agree(*this, rank);
   auto& rs = ranks_[static_cast<std::size_t>(rank)];
   rs.in_membership = true;
   while (!rs.membership_ready) yield_from(rank);
@@ -870,24 +842,6 @@ void Machine::exit_rank(int rank) {
   sched_->fibers.exit_to(rank, next);
 }
 
-void Machine::reset_run_state() {
-  ranks_.assign(static_cast<std::size_t>(nranks_), RankState{});
-  for (int i = 0; i < nranks_; ++i)
-    ranks_[static_cast<std::size_t>(i)].id = i;
-  if (observer_) observer_->on_run_start(nranks_);
-  faults_.reset();  // identical fault streams on every run of this Machine
-  live_ = nranks_;
-  deadlocked_ = false;
-  force_commit_rank_ = -1;
-  fail_recv_rank_ = -1;
-  epoch_ = 0;
-  crashed_count_ = 0;
-  pending_view_ = MembershipView{};
-  view_reported_.assign(static_cast<std::size_t>(nranks_), 0);
-  deadlock_report_str_.clear();
-  deadlock_blocked_.clear();
-}
-
 RunResult Machine::collect_results() {
   for (const auto& rs : ranks_)
     if (rs.error) std::rethrow_exception(rs.error);
@@ -899,7 +853,7 @@ RunResult Machine::collect_results() {
     clocks.reserve(ranks_.size());
     for (const auto& rs : ranks_) {
       boxes.push_back(&rs.mailbox);
-      clocks.push_back(rs.clock.load());
+      clocks.push_back(rs.clock);
     }
     observer_->on_run_end(boxes, clocks);
   }
@@ -933,8 +887,8 @@ std::size_t Machine::rank_transport_bytes(int rank) const {
   const auto& rs = ranks_[static_cast<std::size_t>(rank)];
   // Size-based (live entries, not capacity): a deterministic function of
   // the rank's consumed/sent message history, so the value is identical
-  // across execution modes at the same program point — safe to export as a
-  // metric that must stay bit-identical between sequential and parallel.
+  // under every pick order at the same program point — safe to export as a
+  // metric that must stay bit-identical.
   using NextSeqMap = util::SparseRankMap<std::uint64_t>;
   using SeenMap = util::SparseRankMap<std::unordered_set<std::uint64_t>>;
   using LinkMap = util::SparseRankMap<LinkStats>;
@@ -978,24 +932,29 @@ std::size_t Machine::rank_transport_peers(int rank) const {
 }
 
 RunResult Machine::run(const std::function<void(Comm&)>& program) {
-  if (exec_mode_ == ExecMode::kParallel) {
-    if (!parallel_runner_)
-      throw std::logic_error(
-          "Machine: parallel mode requested but no engine installed; link "
-          "picpar_runtime and call runtime::use_parallel(machine)");
-    return parallel_runner_(*this, program);
-  }
-  return run_sequential(program);
-}
+  ranks_.assign(static_cast<std::size_t>(nranks_), RankState{});
+  for (int i = 0; i < nranks_; ++i)
+    ranks_[static_cast<std::size_t>(i)].id = i;
+  if (observer_) observer_->on_run_start(nranks_);
+  faults_.reset();  // identical fault streams on every run of this Machine
+  live_ = nranks_;
+  deadlocked_ = false;
+  force_commit_rank_ = -1;
+  fail_recv_rank_ = -1;
+  epoch_ = 0;
+  crashed_count_ = 0;
+  pending_view_ = MembershipView{};
+  view_reported_.assign(static_cast<std::size_t>(nranks_), 0);
+  deadlock_report_str_.clear();
+  deadlock_blocked_.clear();
 
-RunResult Machine::run_sequential(const std::function<void(Comm&)>& program) {
-  reset_run_state();
   Sched& s = *sched_;
-  s.reset(nranks_);
+  s.reset(nranks_, pick_seed_);
   s.fibers.reset(nranks_, &Machine::fiber_entry, this);
   program_ = &program;
-  Sched::clear(s.ready, 0);
-  switch_rank(-1, 0);
+  const int first = pick_next(-1);  // every rank is ready
+  Sched::clear(s.ready, first);
+  switch_rank(-1, first);
   // Back in the main context: every rank finished, or the run deadlocked.
   // Resume each parked rank once; it throws DeadlockError out of its wait,
   // unwinds its stack (running the program's destructors) and exits.

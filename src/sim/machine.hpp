@@ -5,8 +5,9 @@
 // share the OS thread that called run(), so exactly one rank executes at a
 // time. A rank runs until it must wait (a receive with nothing deliverable,
 // a membership barrier) or finishes; the scheduler then switches directly
-// to the next runnable rank in deterministic round-robin order. Sends are
-// buffered and never block.
+// to the next runnable rank in deterministic round-robin order (or, with a
+// pick seed, from a seeded pseudo-random start). Sends are buffered and
+// never block.
 //
 // Time is virtual: every rank owns a clock in seconds that advances through
 // explicit compute charges and through the two-level communication model
@@ -16,7 +17,6 @@
 // reproducible regardless of host load.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -33,51 +33,9 @@
 #include "sim/observer.hpp"
 #include "util/sparse_rank.hpp"
 
-namespace picpar::runtime {
-class ParallelEngine;  // src/runtime: executes ranks on real cores
-}
-
 namespace picpar::sim {
 
 class Comm;
-
-/// Execution policy for Machine::run. Sequential is the reference
-/// scheduler (one rank at a time, round-robin). Parallel executes ranks
-/// concurrently on real cores through an engine installed by the
-/// picpar_runtime library; the deterministic matching layer guarantees
-/// bit-identical results between the two modes.
-enum class ExecMode {
-  kSequential,
-  kParallel,
-};
-
-/// A rank's virtual-time clock. Written only by the owning rank; in
-/// parallel mode other ranks read it concurrently to bound the arrival
-/// time of messages the owner might still send. Clocks are monotone, so a
-/// stale read is a valid (conservative) lower bound — never an unsafe one.
-class VirtualClock {
-public:
-  VirtualClock() = default;
-  VirtualClock(const VirtualClock& o) : v_(o.load()) {}
-  VirtualClock& operator=(const VirtualClock& o) {
-    store(o.load());
-    return *this;
-  }
-  VirtualClock& operator=(double d) {
-    store(d);
-    return *this;
-  }
-  VirtualClock& operator+=(double d) {
-    store(load() + d);
-    return *this;
-  }
-  operator double() const { return load(); }
-  double load() const { return v_.load(std::memory_order_acquire); }
-  void store(double d) { v_.store(d, std::memory_order_release); }
-
-private:
-  std::atomic<double> v_{0.0};
-};
 
 /// One blocked rank in a deadlock: what it was waiting for.
 struct BlockedInfo {
@@ -98,9 +56,10 @@ struct CrashRecord {
 };
 
 /// Internal control flow: thrown out of a rank's program at its fail-stop
-/// point and caught only by the execution engines. Deliberately NOT derived
-/// from std::exception so no library-level `catch (const std::exception&)`
-/// along the unwind path can swallow a crash.
+/// point and caught only by the scheduler's fiber entry. Deliberately NOT
+/// derived from std::exception so no library-level
+/// `catch (const std::exception&)` along the unwind path can swallow a
+/// crash.
 class RankCrashed {
 public:
   RankCrashed(int rank, double vtime) : rank_(rank), vtime_(vtime) {}
@@ -207,27 +166,6 @@ struct RunResult {
   FaultCounters faults_total() const;
 };
 
-class Machine;
-
-/// Interface the parallel runtime installs for the duration of a parallel
-/// run. Machine's communication entry points delegate here, so blocking,
-/// mailbox locking, and wakeups go through the engine's scheduler instead
-/// of the sequential fiber scheduler. Everything the hooks may touch on
-/// the Machine (candidate selection, commit, enqueue) is shared with the
-/// sequential path — the engines differ only in who runs when.
-class ParallelRuntimeHooks {
-public:
-  virtual ~ParallelRuntimeHooks() = default;
-  virtual void send(Machine& m, int src, int dst, int tag,
-                    std::vector<std::byte> payload) = 0;
-  virtual Message recv(Machine& m, int rank, int src, int tag,
-                       bool fp_payload) = 0;
-  virtual bool iprobe(Machine& m, int rank, int src, int tag) = 0;
-  /// Park the rank in the membership barrier until the agreement completes
-  /// (see Machine::do_agree); returns the agreed view.
-  virtual MembershipView agree(Machine& m, int rank) = 0;
-};
-
 class Machine {
 public:
   Machine(int nranks, CostModel cost);
@@ -263,20 +201,14 @@ public:
   FaultModel& fault_model() { return faults_; }
   const FaultModel& fault_model() const { return faults_; }
 
-  /// Execution policy. Parallel mode additionally needs an engine: link
-  /// picpar_runtime and call runtime::use_parallel(machine) (or let
-  /// pic::run_pic plumb it). run() throws std::logic_error if parallel
-  /// mode is requested with no engine installed.
-  void set_exec_mode(ExecMode mode) { exec_mode_ = mode; }
-  ExecMode exec_mode() const { return exec_mode_; }
-
-  /// Install the parallel engine entry point (set by picpar_runtime; the
-  /// sim library itself has no thread-pool dependency). nullptr uninstalls.
-  void set_parallel_runner(
-      std::function<RunResult(Machine&, const std::function<void(Comm&)>&)>
-          runner) {
-    parallel_runner_ = std::move(runner);
-  }
+  /// Pick order of the scheduler. 0 (the default) scans for the next
+  /// runnable rank cyclically from the rank that just parked; any other
+  /// value starts each scan at a rank drawn from a stream seeded with it,
+  /// restarted at every run. Results never depend on it — the matching
+  /// layer fixes every delivery — so a run under a nonzero seed must be
+  /// bit-identical to one under 0; tests use that to show that results do
+  /// not depend on rank execution order. Must not be called mid-run.
+  void set_pick_seed(std::uint64_t seed) { pick_seed_ = seed; }
 
   /// Run an SPMD program to completion on all ranks; returns per-rank
   /// clocks and traffic. Rethrows the first (lowest-rank) exception a rank
@@ -289,8 +221,8 @@ public:
   /// Bytes of per-peer transport state (sequence counters, dedup sets,
   /// link counters, crash acks) held by one rank — the machine's share of
   /// the per-rank memory budget. Size-based and a pure function of the
-  /// messages the rank has sent/consumed, so the value is identical across
-  /// execution modes at the same program point. Callable from the owning
+  /// messages the rank has sent/consumed, so the value is identical under
+  /// every pick order at the same program point. Callable from the owning
   /// rank during a run (reads only rank-owned state).
   std::size_t rank_transport_bytes(int rank) const;
   /// Number of distinct peers with transport state on `rank` (the "touched
@@ -299,11 +231,10 @@ public:
 
 private:
   friend class Comm;
-  friend class picpar::runtime::ParallelEngine;
 
   struct RankState {
     int id = 0;
-    VirtualClock clock;
+    double clock = 0.0;  ///< virtual time, seconds
     std::deque<Message> mailbox;
     bool done = false;
     bool waiting = false;
@@ -340,14 +271,13 @@ private:
     int epoch = 0;               ///< membership epoch this rank executes in
     bool in_membership = false;  ///< parked in agree_on_membership
     bool membership_ready = false;
-    /// Sequential ready set: the first live rank whose clock bound kept
+    /// Ready set: the first live rank whose clock bound kept
     /// this parked wildcard receive unsafe; the receiver sits on that
     /// rank's watch list until the rank next yields. -1 = none.
     int blocked_by = -1;
   };
 
-  // --- used by Comm (sequential: only the active rank executes; parallel:
-  //     delegated to the engine hooks, which serialize mailbox access) ---
+  // --- used by Comm (only the active rank executes) ---
   void do_send(int src, int dst, int tag, std::vector<std::byte> payload);
   Message do_recv(int rank, int src, int tag, bool fp_payload = false);
   bool do_iprobe(int rank, int src, int tag);
@@ -356,18 +286,17 @@ private:
   LinkStats& link_stats(RankState& rs, int src);
   void recover_corruption(int rank, const Message& m);
 
-  // --- fail-stop crash machinery (shared by both engines) ---
+  // --- fail-stop crash machinery ---
 
   /// Throw RankCrashed once the rank's own clock reaches its pre-drawn
   /// fail-stop time. Called at every communication and compute boundary, so
   /// crash points are rank-local and execution-order independent.
   void check_crash(int rank);
-  /// Engine catch handlers call this (under the engine's lock) when a
-  /// RankCrashed unwind reaches them.
+  /// The fiber entry calls this when a RankCrashed unwind reaches it.
   void record_crash(int rank, double vtime);
   /// Lease-expiry detection: acknowledge every not-yet-acked crash on the
   /// calling rank, advance its clock past the latest lease, and throw
-  /// PeerFailedError. Runs under the engine's serialization.
+  /// PeerFailedError.
   [[noreturn]] void throw_peer_failure(int rank);
   /// Lowest blocked rank that has not yet acknowledged every crash; -1 when
   /// none (stall-resolution step between force-commit and deadlock).
@@ -378,8 +307,7 @@ private:
   /// barrier is not yet full (or nobody is in it).
   bool try_complete_membership();
 
-  /// Set a rank's phase, firing the observer on an actual change. Phase is
-  /// rank-owned state, so this needs no cross-rank synchronization.
+  /// Set a rank's phase, firing the observer on an actual change.
   void note_phase(int rank, Phase p) {
     RankState& rs = ranks_[static_cast<std::size_t>(rank)];
     if (observer_ && rs.phase != p) {
@@ -387,7 +315,7 @@ private:
       ev.rank = rank;
       ev.from = rs.phase;
       ev.to = p;
-      ev.vtime = rs.clock.load();
+      ev.vtime = rs.clock;
       observer_->on_phase(ev);
     }
     rs.phase = p;
@@ -402,13 +330,13 @@ private:
     ev.rank = rank;
     ev.name = name;
     ev.phase = rs.phase;
-    ev.vtime = rs.clock.load();
+    ev.vtime = rs.clock;
     ev.iter = iter;
     ev.value = value;
     observer_->on_mark(ev);
   }
 
-  // --- deterministic matching layer (shared by both engines) ---
+  // --- deterministic matching layer ---
 
   /// The pending message a receive would commit: minimum key
   /// (arrival, src, seq, dup) over the per-source flow heads (the lowest
@@ -447,17 +375,7 @@ private:
   /// vacuously resolved in key order), or -1 = true deadlock.
   int stall_pick();
 
-  /// Sender-side half of do_send: charge, stats, envelope, observer,
-  /// fault draws. Fills out[0..1] (a duplicated message yields two) and
-  /// returns the count; *new_clock receives the sender's post-charge clock,
-  /// which the caller publishes only after enqueueing so concurrent
-  /// lower-bound reads stay conservative. *reorder_first reports the fault
-  /// model's reorder draw for enqueue positioning.
-  int build_send(int src, int dst, int tag, std::vector<std::byte> payload,
-                 Message out[2], double* new_clock, bool* reorder_first);
-  void enqueue_messages(Message out[2], int n, bool reorder_first);
-
-  // --- sequential scheduler (fibers + event-driven ready set) ---
+  // --- scheduler (fibers + event-driven ready set) ---
   /// Park the calling rank and run others until it is runnable again.
   /// Throws DeadlockError when the machine deadlocks instead.
   void yield_from(int rank);
@@ -465,8 +383,9 @@ private:
   /// pick, else the stall-resolution ladder. -1 = completion or deadlock
   /// (deadlocked_ tells which).
   int schedule_next(int rank);
-  /// First runnable rank in cyclic order from+1, ..., from; -1 = none.
-  /// Evaluates only ranks flagged ready or dirty.
+  /// First runnable rank in cyclic order from the scan start (from+1, or a
+  /// seeded draw under a pick seed); -1 = none. Evaluates only ranks
+  /// flagged ready or dirty.
   int pick_next(int from);
   /// Evaluate one rank's runnability (registers it on its blocker's watch
   /// list when a wildcard candidate is unsafe).
@@ -486,10 +405,7 @@ private:
   std::string deadlock_report() const;
   std::vector<BlockedInfo> blocked_ranks() const;
 
-  // --- run scaffolding shared with the parallel engine ---
-  void reset_run_state();
   RunResult collect_results();
-  RunResult run_sequential(const std::function<void(Comm&)>& program);
 
   int nranks_;
   CostModel cost_;
@@ -504,7 +420,7 @@ private:
 
   struct Sched;  // rank fibers + ready set (keeps <ucontext.h> out)
   std::unique_ptr<Sched> sched_;
-  /// The program of the sequential run in flight (fibers start in it).
+  /// The program of the run in flight (fibers start in it).
   const std::function<void(Comm&)>* program_ = nullptr;
   int live_ = 0;                    // ranks not yet done
   bool deadlocked_ = false;
@@ -525,15 +441,9 @@ private:
   /// Per-source flow-head scratch for find_candidate: sorted (src, mailbox
   /// position) pairs over the sources present in the scanned mailbox, so
   /// the scratch is O(distinct senders), not O(p). Capacity persists across
-  /// calls. Guarded by the engine's serialization (one rank at a time, or
-  /// the parallel engine mutex).
+  /// calls.
   std::vector<std::pair<int, int>> scratch_heads_;
-
-  ExecMode exec_mode_ = ExecMode::kSequential;
-  std::function<RunResult(Machine&, const std::function<void(Comm&)>&)>
-      parallel_runner_;
-  /// Non-null only while a parallel run is in flight.
-  ParallelRuntimeHooks* prt_ = nullptr;
+  std::uint64_t pick_seed_ = 0;
 };
 
 }  // namespace picpar::sim

@@ -2,9 +2,11 @@
 //
 // A MachineObserver sees every point-to-point event (collectives are built
 // from point-to-point messages, so it sees those too) in the exact order
-// the deterministic scheduler executes them. The sequential scheduler runs
-// one rank at a time on one thread, so callbacks are serialized — observers
-// need no internal locking.
+// the deterministic scheduler executes them. The scheduler runs one rank at
+// a time on one thread, so callbacks are serialized — observers need no
+// internal locking. The interleaving of different ranks' callbacks depends
+// on the pick order (Machine::set_pick_seed); each rank's own sequence
+// does not.
 //
 // The observer may stamp metadata onto an outgoing Message (vclock); the
 // machine itself never reads those fields, so an installed observer cannot
@@ -89,11 +91,11 @@ public:
   /// A named instant fired on `e.rank` (see MarkEvent). Default: no-op.
   virtual void on_mark(const MarkEvent& e) { (void)e; }
 
-  /// The sequential scheduler is about to pass the CPU from rank `from` to
+  /// The scheduler is about to pass the CPU from rank `from` to
   /// rank `to` (-1 = the scheduler's main context, before the first rank
   /// runs and after the last one stops). Between two switches exactly one
   /// rank executes, so this is where on-CPU host time can be attributed.
-  /// The parallel engine reports no switches. Default: no-op.
+  /// Default: no-op.
   virtual void on_switch(int from, int to) {
     (void)from;
     (void)to;

@@ -11,8 +11,8 @@
 //
 // Determinism: everything written is derived from virtual time and
 // formatted via std::to_chars, one event per line — with
-// include_wall = false (the default) the output is byte-identical between
-// sequential and parallel execution of the same program.
+// include_wall = false (the default) the output is byte-identical under
+// every pick order of the same program.
 #pragma once
 
 #include <string>

@@ -11,15 +11,14 @@
 // quiescence point, and merged in rank order. The per-rank event sequences
 // and virtual times are schedule-independent, so everything derived from
 // them (TraceData minus wall-time fields, RedistTimeline, MetricsSnapshot)
-// is byte-identical between sequential and parallel execution.
+// is byte-identical under every pick order (sim::Machine::set_pick_seed).
 //
 // Wall-clock times are recorded alongside the virtual spans but are
 // excluded from every exporter by default; they exist for humans looking
-// at one run, not for comparisons. Under the sequential scheduler they are
-// on-CPU times: the tracer stamps the wall clock at every rank switch
-// (MachineObserver::on_switch), so a span is charged only for the
-// intervals its own rank was executing, and the spans of one run sum to at
-// most its wall time.
+// at one run, not for comparisons. They are on-CPU times: the tracer
+// stamps the wall clock at every rank switch (MachineObserver::on_switch),
+// so a span is charged only for the intervals its own rank was executing,
+// and the spans of one run sum to at most its wall time.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +76,8 @@ inline constexpr const char* kMarkMemSort =
 /// One contiguous interval a rank spent in one phase. Virtual times are
 /// deterministic. w0/w1 read the rank's on-CPU wall clock in microseconds:
 /// the time the rank itself has executed since run start, so w1 - w0 is
-/// the host time the span really cost. The parallel engine reports no
-/// switches; there they are plain wall time since run start. Both are
+/// the host time the span really cost. Without switch reports (events fed
+/// by hand) they are plain wall time since run start. Both are
 /// schedule-dependent.
 struct Span {
   int rank = 0;
@@ -255,7 +254,7 @@ private:
   int nranks_ = 0;
   std::vector<RankBuf> bufs_;
   std::uint64_t wall_base_ns_ = 0;  ///< util::wall_clock() at run start
-  bool switched_ = false;  ///< on_switch seen this run (sequential engine)
+  bool switched_ = false;  ///< on_switch seen this run
   int running_ = -1;       ///< rank on the CPU; -1 = the scheduler
   double since_us_ = 0.0;  ///< wall_us() at the last switch
 

@@ -1,7 +1,7 @@
 // Shared parsing of PICPAR_* environment variables.
 //
-// Every runtime opt-in (PICPAR_PARALLEL, PICPAR_ANALYZE, PICPAR_TRACE,
-// PICPAR_WORKERS, PICPAR_LOG) goes through these helpers so the semantics
+// Every runtime opt-in (PICPAR_ANALYZE, PICPAR_TRACE, PICPAR_CRASH_*,
+// PICPAR_LOG) goes through these helpers so the semantics
 // are uniform across libraries, benches and examples: a boolean variable
 // is enabled when set to anything but "" or "0"; a path-valued variable is
 // its value under the same rule; an integer variable falls back when unset

@@ -201,14 +201,13 @@ TEST_F(Fingerprint, EverySemanticFieldChangesTheFingerprint) {
 }
 
 TEST_F(Fingerprint, ExecutionModeDoesNotChangeTheBytes) {
-  // The parallel engine is bit-identical to the sequential scheduler
-  // (DESIGN.md), so one cache entry must serve both execution modes.
+  // Runs are bit-identical under every pick order (DESIGN.md §8), so one
+  // cache entry must serve every pick seed.
   const auto base = base_params();
-  auto par = base;
-  par.exec.parallel = true;
-  par.exec.workers = 7;
-  EXPECT_EQ(par.canonical(), base.canonical());
-  EXPECT_EQ(par.fingerprint(), base.fingerprint());
+  auto permuted = base;
+  permuted.exec.pick_seed = 7;
+  EXPECT_EQ(permuted.canonical(), base.canonical());
+  EXPECT_EQ(permuted.fingerprint(), base.fingerprint());
 }
 
 TEST_F(Fingerprint, TracePathsAreSinksNotSemantics) {
@@ -240,13 +239,6 @@ TEST_F(Fingerprint, EnvironmentOverridesFoldIn) {
   ::setenv("PICPAR_TRACE", "/tmp/t.json", 1);
   EXPECT_NE(base.fingerprint(), fp0) << "PICPAR_TRACE ignored";
   ::unsetenv("PICPAR_TRACE");
-
-  // Execution-mode variables are excluded by the determinism contract.
-  ::setenv("PICPAR_PARALLEL", "1", 1);
-  ::setenv("PICPAR_WORKERS", "4", 1);
-  EXPECT_EQ(base.fingerprint(), fp0);
-  ::unsetenv("PICPAR_PARALLEL");
-  ::unsetenv("PICPAR_WORKERS");
 
   EXPECT_EQ(base.fingerprint(), fp0);
 }

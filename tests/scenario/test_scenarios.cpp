@@ -1,6 +1,6 @@
 // Scenario library (src/scenario): registry contents, injector determinism,
 // per-scenario golden metrics, conservation under open boundaries, migrated
-// scenarios' equivalence with the legacy dist path, sequential/parallel
+// scenarios' equivalence with the legacy dist path, pick-order
 // bit-identity for every scenario, and the pluggable balancer policies.
 //
 // Golden values are pinned from the reference configuration below; the
@@ -37,7 +37,7 @@ protected:
     for (const char* k :
          {"PICPAR_CRASH_RANKS", "PICPAR_CRASH_PROB", "PICPAR_CRASH_MAX_T",
           "PICPAR_CRASH_LEASE", "PICPAR_ANALYZE", "PICPAR_TRACE",
-          "PICPAR_TRACE_METRICS", "PICPAR_PARALLEL", "PICPAR_WORKERS"}) {
+          "PICPAR_TRACE_METRICS"}) {
       const char* v = ::getenv(k);
       saved_.emplace_back(k,
                           v ? std::optional<std::string>(v) : std::nullopt);
@@ -303,11 +303,9 @@ TEST_F(ScenarioRun, EveryScenarioIsBitIdenticalSequentialVsParallel) {
   for (const auto& name : scenario::scenario_names()) {
     SCOPED_TRACE(name);
     auto p = golden_params(name);
-    const auto seq = pic::run_pic(p);
-    p.exec.parallel = true;
-    p.exec.workers = 4;
-    const auto par = pic::run_pic(p);
-    expect_identical_runs(seq, par);
+    const auto base = pic::run_pic(p);
+    p.exec.pick_seed = 1;
+    expect_identical_runs(base, pic::run_pic(p));
   }
 }
 
@@ -385,10 +383,8 @@ TEST_F(ScenarioRun, WeightedBalancersRunConserveAndStayDeterministic) {
     // blob's central cells bound how uneven the split can get.
     EXPECT_GE(seq.final_imbalance, 1.0);
     EXPECT_LT(seq.final_imbalance, 3.0);
-    p.exec.parallel = true;
-    p.exec.workers = 4;
-    const auto par = pic::run_pic(p);
-    expect_identical_runs(seq, par);
+    p.exec.pick_seed = 2;
+    expect_identical_runs(seq, pic::run_pic(p));
   }
 }
 

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "runtime/parallel_engine.hpp"
 #include "sim/comm.hpp"
 #include "sim/faults.hpp"
 
@@ -234,19 +233,24 @@ TEST(Crash, SequentialAndParallelRecoveryAreBitIdentical) {
   cfg.crash_schedule = {{2, 1e-3}, {0, 0.05}};
   const int p = 4;
 
-  std::vector<RankTrace> ts(p), tp(p);
-  Machine seq(p, CostModel::cm5(), cfg);
-  const auto a =
-      seq.run([&](Comm& c) { resilient_rounds(c, 500, ts[c.world_rank()]); });
-
-  Machine par(p, CostModel::cm5(), cfg);
-  runtime::use_parallel(par);
-  const auto b =
-      par.run([&](Comm& c) { resilient_rounds(c, 500, tp[c.world_rank()]); });
-
+  // The cyclic pick order against two permuted ones: detection, agreement
+  // and the post-shrink rounds must not depend on which rank runs first.
+  std::vector<RankTrace> ta(p);
+  Machine cyclic(p, CostModel::cm5(), cfg);
+  const auto a = cyclic.run(
+      [&](Comm& c) { resilient_rounds(c, 500, ta[c.world_rank()]); });
   ASSERT_EQ(a.crashes.size(), 2u);
-  expect_same_result(a, b);
-  expect_same_traces(ts, tp);
+
+  for (const std::uint64_t seed : {1ULL, 2ULL}) {
+    SCOPED_TRACE("pick seed " + std::to_string(seed));
+    std::vector<RankTrace> tb(p);
+    Machine permuted(p, CostModel::cm5(), cfg);
+    permuted.set_pick_seed(seed);
+    const auto b = permuted.run(
+        [&](Comm& c) { resilient_rounds(c, 500, tb[c.world_rank()]); });
+    expect_same_result(a, b);
+    expect_same_traces(ta, tb);
+  }
 }
 
 TEST(Crash, FarFutureCrashNeverFires) {

@@ -1,8 +1,9 @@
-// The sequential scheduler: rank fibers (stacks, unwinding, exceptions,
-// scale) and the event-driven ready set. In builds without NDEBUG,
+// The scheduler: rank fibers (stacks, unwinding, exceptions, scale), the
+// event-driven ready set and the pick seed. In builds without NDEBUG,
 // Machine::pick_next also asserts on every pick that the ready set chose
-// exactly the rank a full cyclic scan would have, so the fuzz programs
-// below double as a differential test of the ready set.
+// exactly the rank a full cyclic scan from the same start would have, so
+// the fuzz programs below — run under both the cyclic and a permuted pick
+// order — double as a differential test of the ready set.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../pick_order/pick_order.hpp"
 #include "sim/comm.hpp"
 #include "sim/faults.hpp"
 #include "util/rng.hpp"
@@ -168,6 +170,45 @@ TEST(Scheduler, SwitchHookChainsFromMainBackToMain) {
   }
 }
 
+/// Per round: a wildcard gather to rank 0, a ring exchange and an
+/// allreduce, with skewed compute so several ranks are runnable at most
+/// picks and the pick order has real choices to make.
+void wildcard_ring_allreduce(Comm& c) {
+  const int p = c.size();
+  for (int round = 0; round < 4; ++round) {
+    c.charge_ops(static_cast<std::uint64_t>((c.rank() * 17 + round * 5) % 23));
+    if (c.rank() == 0) {
+      for (int i = 1; i < p; ++i) (void)c.recv<int>(kAnySource, 7);
+    } else {
+      c.send_value(0, 7, c.rank());
+    }
+    c.send_value((c.rank() + 1) % p, 8, round);
+    (void)c.recv_value<int>((c.rank() + p - 1) % p, 8);
+    (void)c.allreduce_sum(c.rank());
+  }
+}
+
+// The pick seed must actually change the schedule — otherwise every
+// pick-order equivalence test would compare a run with itself — while
+// leaving every result alone.
+TEST(Scheduler, PickSeedPermutesSwitchesButNotResults) {
+  std::vector<std::vector<std::pair<int, int>>> switches;
+  std::vector<RunResult> results;
+  for (const std::uint64_t seed : {0ULL, 1ULL, 2ULL}) {
+    Machine m(16, CostModel::cm5());
+    m.set_pick_seed(seed);
+    SwitchRecorder rec;
+    m.set_observer(&rec);
+    results.push_back(m.run(wildcard_ring_allreduce));
+    switches.push_back(std::move(rec.switches));
+  }
+  EXPECT_NE(switches[0], switches[1]);
+  EXPECT_NE(switches[0], switches[2]);
+  EXPECT_NE(switches[1], switches[2]);
+  picpar::testing::expect_identical(results[0], results[1]);
+  picpar::testing::expect_identical(results[0], results[2]);
+}
+
 constexpr int kTag0 = 10;
 
 /// A program mixing wildcard-source receives, clock skew
@@ -235,6 +276,7 @@ TEST_P(ReadySetFuzz, WildcardTrafficIsScheduleIndependent) {
   const int p = GetParam();
   Machine a(p, CostModel::cm5());
   Machine b(p, CostModel::cm5());
+  b.set_pick_seed(static_cast<std::uint64_t>(p));
   const auto first = wildcard_fuzz(a, static_cast<std::uint64_t>(p), 6);
   EXPECT_EQ(first, wildcard_fuzz(b, static_cast<std::uint64_t>(p), 6));
   std::size_t received = 0;
@@ -254,6 +296,7 @@ TEST_P(ReadySetFuzz, WildcardTrafficOverAFaultyFabric) {
   cfg.reorder_prob = 0.2;
   Machine a(p, CostModel::cm5(), cfg);
   Machine b(p, CostModel::cm5(), cfg);
+  b.set_pick_seed(static_cast<std::uint64_t>(p) + 1);
   EXPECT_EQ(wildcard_fuzz(a, 3, 5), wildcard_fuzz(b, 3, 5));
 }
 

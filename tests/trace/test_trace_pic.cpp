@@ -107,37 +107,34 @@ TEST(TracePic, TimelineReproducesPerIterationRedistributionData) {
             std::string::npos);
 }
 
-// The tentpole determinism guarantee at the PIC level: every exported
-// virtual-time artifact is byte-identical between sequential and parallel
-// execution, including the Chrome-trace file itself.
-TEST(TracePic, ExportsByteIdenticalAcrossExecModes) {
+// The determinism guarantee at the PIC level: every exported virtual-time
+// artifact is byte-identical under every pick order, including the
+// Chrome-trace file itself.
+TEST(TracePic, ExportsByteIdenticalAcrossPickSeeds) {
   const fs::path dir = fs::temp_directory_path();
-  const fs::path seq_trace = dir / "picpar_seq.trace.json";
-  const fs::path par_trace = dir / "picpar_par.trace.json";
+  const fs::path base_trace = dir / "picpar_seed0.trace.json";
+  const fs::path permuted_trace = dir / "picpar_seed3.trace.json";
 
   auto p = small_pic();
   p.policy = "sar";
   p.trace.enabled = true;
-  p.trace.path = seq_trace.string();
-  p.exec.workers = 4;
+  p.trace.path = base_trace.string();
+  const auto base = pic::run_pic(p);
+  p.exec.pick_seed = 3;
+  p.trace.path = permuted_trace.string();
+  const auto permuted = pic::run_pic(p);
 
-  p.exec.parallel = false;
-  const auto seq = pic::run_pic(p);
-  p.exec.parallel = true;
-  p.trace.path = par_trace.string();
-  const auto par = pic::run_pic(p);
+  EXPECT_EQ(base.metrics_json, permuted.metrics_json);
+  EXPECT_EQ(base.metrics_csv, permuted.metrics_csv);
+  EXPECT_EQ(base.timeline_csv, permuted.timeline_csv);
+  EXPECT_EQ(base.trace_events, permuted.trace_events);
 
-  EXPECT_EQ(seq.metrics_json, par.metrics_json);
-  EXPECT_EQ(seq.metrics_csv, par.metrics_csv);
-  EXPECT_EQ(seq.timeline_csv, par.timeline_csv);
-  EXPECT_EQ(seq.trace_events, par.trace_events);
-
-  const std::string a = slurp(seq_trace);
-  const std::string b = slurp(par_trace);
+  const std::string a = slurp(base_trace);
+  const std::string b = slurp(permuted_trace);
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
-  fs::remove(seq_trace);
-  fs::remove(par_trace);
+  fs::remove(base_trace);
+  fs::remove(permuted_trace);
 }
 
 TEST(TracePic, PhaseWallCountsOnlyOnCpuTime) {
@@ -145,11 +142,7 @@ TEST(TracePic, PhaseWallCountsOnlyOnCpuTime) {
   // spans are charged only while that rank runs: summed over all ranks and
   // phases they cannot exceed the run's own wall time. (Charging a span
   // with its elapsed wall time instead counts the same second once per
-  // parked rank — about p times the run.) The check needs the sequential
-  // engine, so a PICPAR_PARALLEL in the environment is set aside.
-  const char* par = std::getenv("PICPAR_PARALLEL");
-  const std::string saved = par ? par : "";
-  ASSERT_EQ(unsetenv("PICPAR_PARALLEL"), 0);
+  // parked rank — about p times the run.)
   auto p = small_pic();
   p.nranks = 16;
   p.grid = mesh::GridDesc{64, 32};
@@ -159,9 +152,6 @@ TEST(TracePic, PhaseWallCountsOnlyOnCpuTime) {
   const std::uint64_t t0 = util::wall_clock();
   const auto r = pic::run_pic(p);
   const double wall_us = static_cast<double>(util::wall_clock() - t0) * 1e-3;
-  if (par) {
-    ASSERT_EQ(setenv("PICPAR_PARALLEL", saved.c_str(), 1), 0);
-  }
 
   ASSERT_EQ(r.phase_wall_us.size(), static_cast<std::size_t>(sim::kNumPhases));
   double sum = 0.0;

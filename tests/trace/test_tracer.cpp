@@ -1,6 +1,6 @@
 // Tracer behavior on bare machines: span construction, flow matching,
 // marks, caps, chaining with the analyzer, and byte-identical exports
-// between the sequential and parallel execution engines.
+// under every pick order.
 #include "trace/tracer.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "analysis/analyzer.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
 #include "trace/chrome_trace.hpp"
@@ -209,8 +208,7 @@ TEST(Tracer, SecondRunResetsState) {
 }
 
 // The determinism contract: the virtual-time trace and every export
-// derived from it are byte-identical between the sequential reference
-// scheduler and the parallel engine.
+// derived from it are byte-identical under every pick order.
 TEST(TracerModeEquivalence, ExportsAreByteIdentical) {
   const auto program = [](Comm& c) {
     c.set_phase(Phase::kScatter);
@@ -232,25 +230,25 @@ TEST(TracerModeEquivalence, ExportsAreByteIdentical) {
     c.charge(1e-4);
   };
 
-  const auto run_traced = [&](bool parallel) {
+  const auto run_traced = [&](std::uint64_t pick_seed) {
     Machine m(6, CostModel::cm5());
-    if (parallel) runtime::use_parallel(m, runtime::ParallelConfig{4});
+    m.set_pick_seed(pick_seed);
     auto tracer = std::make_unique<Tracer>();
     m.set_observer(tracer.get());
     m.run(program);
     return tracer;
   };
 
-  const auto seq = run_traced(false);
-  const auto par = run_traced(true);
-  EXPECT_EQ(to_chrome_json(seq->data(), {}, &seq->timeline()),
-            to_chrome_json(par->data(), {}, &par->timeline()));
-  EXPECT_EQ(seq->metrics().snapshot().to_json(),
-            par->metrics().snapshot().to_json());
-  EXPECT_EQ(seq->metrics().snapshot().to_csv(),
-            par->metrics().snapshot().to_csv());
-  EXPECT_EQ(seq->timeline().to_csv(), par->timeline().to_csv());
-  EXPECT_EQ(seq->events(), par->events());
+  const auto base = run_traced(0);
+  const auto permuted = run_traced(5);
+  EXPECT_EQ(to_chrome_json(base->data(), {}, &base->timeline()),
+            to_chrome_json(permuted->data(), {}, &permuted->timeline()));
+  EXPECT_EQ(base->metrics().snapshot().to_json(),
+            permuted->metrics().snapshot().to_json());
+  EXPECT_EQ(base->metrics().snapshot().to_csv(),
+            permuted->metrics().snapshot().to_csv());
+  EXPECT_EQ(base->timeline().to_csv(), permuted->timeline().to_csv());
+  EXPECT_EQ(base->events(), permuted->events());
 }
 
 TEST(ChromeTrace, EmitsExpectedEventKinds) {
