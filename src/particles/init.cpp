@@ -82,4 +82,17 @@ ParticleArray generate(Distribution dist, const mesh::GridDesc& grid,
   return p;
 }
 
+ParticleArray block_slice(const ParticleArray& all, int rank, int nranks) {
+  const auto total = static_cast<std::uint64_t>(all.size());
+  const std::uint64_t b = static_cast<std::uint64_t>(rank) * total /
+                          static_cast<std::uint64_t>(nranks);
+  const std::uint64_t e = static_cast<std::uint64_t>(rank + 1) * total /
+                          static_cast<std::uint64_t>(nranks);
+  ParticleArray out(all.species());
+  out.reserve(static_cast<std::size_t>(e - b));
+  for (std::uint64_t i = b; i < e; ++i)
+    out.push_back(all.rec(static_cast<std::size_t>(i)));
+  return out;
+}
+
 }  // namespace picpar::particles

@@ -48,4 +48,9 @@ ParticleArray generate(Distribution dist, const mesh::GridDesc& grid,
                        const InitParams& params, double charge = -1.0,
                        double mass = 1.0);
 
+/// Rank `rank`'s equal contiguous share of `all` split over `nranks`:
+/// records [rank*n/nranks, (rank+1)*n/nranks) in order, same species. The
+/// direct Lagrangian drivers' initial assignment.
+ParticleArray block_slice(const ParticleArray& all, int rank, int nranks);
+
 }  // namespace picpar::particles

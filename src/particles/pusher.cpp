@@ -14,6 +14,28 @@ void gamma_pass(const ParticleArray& p, std::size_t begin, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) g[i] = std::sqrt(g[i]);
 }
 
+void current_pass(const ParticleArray& p, std::size_t begin, std::size_t n,
+                  double inv_cell, double* qv, double* jx, double* jy,
+                  double* jz) {
+  double g[kBlock];
+  gamma_pass(p, begin, n, g);
+  if (p.nspecies() > 1) {
+    for (std::size_t i = 0; i < n; ++i)
+      qv[i] = p.charge_of(begin + i) * inv_cell;
+  } else {
+    const double q = p.charge();
+    for (std::size_t i = 0; i < n; ++i) qv[i] = q * inv_cell;
+  }
+  const double* ux = p.ux.data() + begin;
+  const double* uy = p.uy.data() + begin;
+  const double* uz = p.uz.data() + begin;
+  for (std::size_t i = 0; i < n; ++i) {
+    jx[i] = qv[i] * ux[i] / g[i];
+    jy[i] = qv[i] * uy[i] / g[i];
+    jz[i] = qv[i] * uz[i] / g[i];
+  }
+}
+
 void kick_pass(ParticleArray& p, std::size_t begin, std::size_t n,
                const double* qmdt2, const FieldBlock& f) {
   double* ux = p.ux.data() + begin;

@@ -123,6 +123,13 @@ struct FieldBlock {
 void gamma_pass(const ParticleArray& p, std::size_t begin, std::size_t n,
                 double* g);
 
+/// Deposit sources of particles [begin, begin + n), n <= kBlock: qv[i] is
+/// the particle's charge per cell area (charge_of(begin + i) * inv_cell;
+/// single-species arrays use charge() * inv_cell) and j = qv u / gamma.
+void current_pass(const ParticleArray& p, std::size_t begin, std::size_t n,
+                  double inv_cell, double* qv, double* jx, double* jy,
+                  double* jz);
+
 /// Boris kick of particles [begin, begin + n), n <= kBlock: particle
 /// begin + i gets boris_kick with fields f[i] and qmdt2[i] ==
 /// boris_qmdt2(q_i, m_i, dt), bit for bit.

@@ -8,6 +8,10 @@
 // with an irregular distribution a few ranks hold most particles and the
 // per-iteration time is set by the most loaded rank — the load-imbalance
 // column of Table 1.
+//
+// It is run_pic's driver with the Eulerian ownership rule (simulation.cpp),
+// so scenarios, solvers, faults, validation, crash recovery, tracing and
+// the pick seed all apply.
 #pragma once
 
 #include "pic/config.hpp"
@@ -15,13 +19,10 @@
 
 namespace picpar::pic {
 
-/// Run the Eulerian grid-partitioning baseline. policy/partitioner fields
-/// of `params` are ignored (assignment follows the grid, always).
+/// Run the Eulerian grid-partitioning baseline. The policy and partitioner
+/// fields of `params` have no effect: assignment always follows the grid.
+/// With iterations = 0, final_imbalance is the load imbalance of the
+/// initial assignment.
 PicResult run_eulerian(const PicParams& params);
-
-/// Per-rank particle counts after Eulerian assignment of the initial
-/// population — used by the Table 1 bench to quantify load imbalance
-/// without running a simulation.
-std::vector<std::size_t> eulerian_particle_counts(const PicParams& params);
 
 }  // namespace picpar::pic

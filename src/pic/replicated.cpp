@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "mesh/maxwell.hpp"
+#include "particles/init.hpp"
 #include "particles/interpolate.hpp"
 #include "particles/pusher.hpp"
 #include "sim/comm.hpp"
@@ -103,8 +105,17 @@ void global_concat(Comm& comm, std::uint64_t b, std::uint64_t e,
 }  // namespace
 
 PicResult run_replicated(const PicParams& params) {
-  if (params.init.total == 0)
-    throw std::invalid_argument("run_replicated: init.total must be > 0");
+  if (params.init.total == 0 || params.iterations < 0)
+    throw std::invalid_argument(
+        "run_replicated: init.total must be > 0 and iterations >= 0");
+  // The replicated field layer has no Poisson solver, injector, checkpoints
+  // or observers: refuse the settings it would otherwise silently drop.
+  if (!params.scenario.empty() || params.solver == FieldSolveKind::kPoisson ||
+      params.faults.any() || params.validate.enabled() || params.trace.on() ||
+      params.analyze.enabled || params.analyze.audit_determinism)
+    throw std::invalid_argument(
+        "run_replicated: scenarios, the Poisson solver, faults, validation, "
+        "tracing and analysis are not supported");
 
   const mesh::GridDesc grid = params.grid;
   const ParticleArray global =
@@ -116,12 +127,13 @@ PicResult run_replicated(const PicParams& params) {
   const double inv_cell = 1.0 / (grid.dx() * grid.dy());
   const std::uint64_t m = grid.nodes();
 
-  std::vector<double> clock_end(
-      static_cast<std::size_t>(params.nranks) *
-          static_cast<std::size_t>(std::max(params.iterations, 1)),
-      0.0);
-  std::vector<double> field_energy(static_cast<std::size_t>(params.nranks), 0.0);
+  // Host-side outputs. Ranks are fibers on one host thread, so they write
+  // shared slots without locks; floating-point sums merge in rank order.
+  std::vector<double> iter_end(static_cast<std::size_t>(params.iterations),
+                               0.0);  ///< latest rank clock per iteration
   std::vector<double> kinetic(static_cast<std::size_t>(params.nranks), 0.0);
+  double field_energy = 0.0;
+  std::uint64_t final_particles = 0;
 
   auto program = [&](Comm& comm) {
     const int rank = comm.rank();
@@ -137,22 +149,16 @@ PicResult run_replicated(const PicParams& params) {
     const std::uint64_t ce = bounds[static_cast<std::size_t>(rank) + 1];
 
     // Lagrangian assignment: equal contiguous slices, fixed forever.
-    ParticleArray mine(global.charge(), global.mass());
-    {
-      const auto total = static_cast<std::uint64_t>(global.size());
-      const std::uint64_t b = static_cast<std::uint64_t>(rank) * total /
-                              static_cast<std::uint64_t>(p);
-      const std::uint64_t e = static_cast<std::uint64_t>(rank + 1) * total /
-                              static_cast<std::uint64_t>(p);
-      mine.reserve(static_cast<std::size_t>(e - b));
-      for (std::uint64_t i = b; i < e; ++i)
-        mine.push_back(global.rec(static_cast<std::size_t>(i)));
-    }
-    const double q = mine.charge();
+    ParticleArray mine = particles::block_slice(global, rank, p);
     constexpr std::size_t kBlock = particles::kBlock;
     double qmdt2[kBlock]{};
     std::fill(qmdt2, qmdt2 + kBlock,
-              particles::boris_qmdt2(q, mine.mass(), dt));
+              particles::boris_qmdt2(mine.charge(), mine.mass(), dt));
+    // Block-pass scratch (the same passes run_pic runs, DESIGN.md §10).
+    particles::CicStencil st[kBlock]{};
+    double qv[kBlock]{}, jx[kBlock]{}, jy[kBlock]{}, jz[kBlock]{};
+    double px[kBlock]{}, py[kBlock]{};
+    particles::FieldBlock fb{};
 
     for (int iter = 0; iter < params.iterations; ++iter) {
       // ---- Scatter: local deposition + global element-wise sum ----
@@ -162,17 +168,20 @@ PicResult run_replicated(const PicParams& params) {
       std::fill(f.jz.begin(), f.jz.end(), 0.0);
       std::fill(f.rho.begin(), f.rho.end(), 0.0);
       const std::size_t n = mine.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        const double gamma = mine.gamma(i);
-        const double qv = q * inv_cell;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          const auto id = static_cast<std::size_t>(st.node[k]);
-          f.jx[id] += w * qv * mine.ux[i] / gamma;
-          f.jy[id] += w * qv * mine.uy[i] / gamma;
-          f.jz[id] += w * qv * mine.uz[i] / gamma;
-          f.rho[id] += w * qv;
+      for (std::size_t b = 0; b < n; b += kBlock) {
+        const std::size_t nb = std::min(kBlock, n - b);
+        particles::cic_pass(grid, mine.x.data() + b, mine.y.data() + b, nb,
+                            st);
+        particles::current_pass(mine, b, nb, inv_cell, qv, jx, jy, jz);
+        for (std::size_t i = 0; i < nb; ++i) {
+          for (int k = 0; k < 4; ++k) {
+            const double w = st[i].weight[k];
+            const auto id = static_cast<std::size_t>(st[i].node[k]);
+            f.jx[id] += w * jx[i];
+            f.jy[id] += w * jy[i];
+            f.jz[id] += w * jz[i];
+            f.rho[id] += w * qv[i];
+          }
         }
       }
       comm.charge(static_cast<double>(4 * n) * pc.scatter_per_vertex * delta);
@@ -192,8 +201,6 @@ PicResult run_replicated(const PicParams& params) {
 
       // ---- Gather + push: purely local ----
       comm.set_phase(Phase::kGather);
-      particles::CicStencil st[kBlock]{};
-      particles::FieldBlock fb{};
       for (std::size_t b = 0; b < n; b += kBlock) {
         const std::size_t nb = std::min(kBlock, n - b);
         particles::cic_pass(grid, mine.x.data() + b, mine.y.data() + b, nb,
@@ -218,14 +225,19 @@ PicResult run_replicated(const PicParams& params) {
       comm.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 
       comm.set_phase(Phase::kPush);
-      for (std::size_t i = 0; i < n; ++i)
-        particles::advance_position(grid, mine, i, dt);
+      for (std::size_t b = 0; b < n; b += kBlock) {
+        const std::size_t nb = std::min(kBlock, n - b);
+        particles::position_pass(mine, b, nb, dt, px, py);
+        for (std::size_t i = 0; i < nb; ++i) {
+          mine.x[b + i] = grid.wrap_x(px[i]);
+          mine.y[b + i] = grid.wrap_y(py[i]);
+        }
+      }
       comm.charge(static_cast<double>(n) * pc.push_per_particle * delta);
       comm.set_phase(Phase::kOther);
 
-      clock_end[static_cast<std::size_t>(rank) *
-                    static_cast<std::size_t>(std::max(params.iterations, 1)) +
-                static_cast<std::size_t>(iter)] = comm.clock();
+      double& end = iter_end[static_cast<std::size_t>(iter)];
+      end = std::max(end, comm.clock());
     }
 
     // Replicated fields: charge the energy to rank 0 only.
@@ -235,12 +247,14 @@ PicResult run_replicated(const PicParams& params) {
       for (std::uint64_t id = 0; id < m; ++id)
         e += f.ex[id] * f.ex[id] + f.ey[id] * f.ey[id] + f.ez[id] * f.ez[id] +
              f.bx[id] * f.bx[id] + f.by[id] * f.by[id] + f.bz[id] * f.bz[id];
-      field_energy[0] = 0.5 * e * grid.dx() * grid.dy();
+      field_energy = 0.5 * e * grid.dx() * grid.dy();
     }
     kinetic[static_cast<std::size_t>(rank)] = mine.kinetic_energy();
+    final_particles += mine.size();
   };
 
   sim::Machine machine(params.nranks, params.machine);
+  machine.set_pick_seed(params.exec.pick_seed);
   auto run = machine.run(program);
 
   PicResult result;
@@ -249,21 +263,16 @@ PicResult run_replicated(const PicParams& params) {
   result.compute_seconds = result.machine.max_compute();
   result.iters.resize(static_cast<std::size_t>(params.iterations));
   double prev = 0.0;
-  const auto stride =
-      static_cast<std::size_t>(std::max(params.iterations, 1));
   for (int i = 0; i < params.iterations; ++i) {
-    double end = 0.0;
-    for (int r = 0; r < params.nranks; ++r)
-      end = std::max(end, clock_end[static_cast<std::size_t>(r) * stride +
-                                    static_cast<std::size_t>(i)]);
     auto& rec = result.iters[static_cast<std::size_t>(i)];
     rec.iter = i;
-    rec.exec_seconds = end - prev;
+    rec.exec_seconds = iter_end[static_cast<std::size_t>(i)] - prev;
     rec.loop_seconds = rec.exec_seconds;
-    prev = end;
+    prev = iter_end[static_cast<std::size_t>(i)];
   }
-  // picpar-lint: allow(float-reduction-order) rank-order merge
-  for (double e : field_energy) result.field_energy += e;
+  result.initial_particles = static_cast<std::uint64_t>(global.size());
+  result.final_particles = final_particles;
+  result.field_energy = field_energy;
   // picpar-lint: allow(float-reduction-order) rank-order merge
   for (double k : kinetic) result.kinetic_energy += k;
   return result;

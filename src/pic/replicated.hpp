@@ -15,9 +15,11 @@
 namespace picpar::pic {
 
 /// Run the replicated-grid baseline. Uses grid, nranks, dist, init, solver
-/// (kMaxwell/kNone), iterations, dt, costs and machine from `params`;
-/// partitioning/policy fields are ignored (particles stay on their initial
-/// rank forever, grid is replicated).
+/// (kMaxwell/kNone), iterations, dt, costs, machine and exec from
+/// `params`; partitioning/policy fields have no effect (particles stay on
+/// their initial rank forever, the grid is replicated). Throws
+/// std::invalid_argument for what it cannot honour: a scenario, the
+/// Poisson solver, faults, validation, tracing or analysis.
 PicResult run_replicated(const PicParams& params);
 
 }  // namespace picpar::pic

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "pic/eulerian.hpp"
+#include "pic/replicated.hpp"
+#include "pic/result_io.hpp"
 #include "pic/simulation.hpp"
 #include "pick_order.hpp"
 #include "sim/comm.hpp"
@@ -97,6 +101,25 @@ TEST(ModeEquivalence, PicPipelineCurvesAndPolicies) {
       p.curve = curve;
       p.policy = policy;
       expect_pick_order_independent(p);
+    }
+  }
+}
+
+// The baseline drivers build their own machines; their whole serialized
+// result must not depend on the pick order either.
+TEST(ModeEquivalence, BaselinesAreByteIdenticalAcrossPickSeeds) {
+  using Driver = pic::PicResult (*)(const pic::PicParams&);
+  const std::pair<const char*, Driver> drivers[] = {
+      {"eulerian", pic::run_eulerian}, {"replicated", pic::run_replicated}};
+  for (const auto& [name, run] : drivers) {
+    SCOPED_TRACE(name);
+    pic::PicParams p = small_pic();
+    p.dist = particles::Distribution::kGaussian;
+    const std::string base = pic::serialize_result(run(p));
+    for (const std::uint64_t seed : picpar::testing::kPickSeeds) {
+      SCOPED_TRACE("pick seed " + std::to_string(seed));
+      p.exec.pick_seed = seed;
+      EXPECT_EQ(pic::serialize_result(run(p)), base);
     }
   }
 }
