@@ -7,8 +7,6 @@
 // on a modern-cluster cost model.
 #include "common.hpp"
 
-#include "pic/eulerian.hpp"
-#include "pic/replicated.hpp"
 #include "pic/simulation.hpp"
 
 using namespace picpar;

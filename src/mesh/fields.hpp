@@ -37,7 +37,12 @@ struct FieldState {
   }
 
   /// Field energy over owned nodes: 0.5 * (E^2 + B^2) * cell_area.
-  double energy(const LocalGrid& lg) const;
+  double energy(const LocalGrid& lg) const {
+    return energy(lg, 0, lg.owned());
+  }
+  /// The same over local nodes [begin, end) only.
+  double energy(const LocalGrid& lg, std::size_t begin,
+                std::size_t end) const;
 };
 
 }  // namespace picpar::mesh

@@ -5,11 +5,12 @@
 
 namespace picpar::mesh {
 
-double FieldState::energy(const LocalGrid& lg) const {
+double FieldState::energy(const LocalGrid& lg, std::size_t begin,
+                          std::size_t end) const {
   const double cell = lg.grid().dx() * lg.grid().dy();
   // picpar-lint: allow(float-reduction-order) fixed local-index sum
   double e = 0.0;
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
+  for (std::size_t l = begin; l < end; ++l) {
     e += ex[l] * ex[l] + ey[l] * ey[l] + ez[l] * ez[l];
     e += bx[l] * bx[l] + by[l] * by[l] + bz[l] * bz[l];
   }
@@ -30,69 +31,47 @@ double MaxwellSolver::max_dt(const GridDesc& g) {
   return 0.9 * std::min(g.dx(), g.dy()) / std::sqrt(2.0);
 }
 
-// 2-D (d/dz = 0) curls with central differences. Only owned entries of the
-// outputs are written; inputs must have fresh ghosts.
-void MaxwellSolver::curl_e(const FieldState& f, std::vector<double>& cx,
-                           std::vector<double>& cy,
-                           std::vector<double>& cz) const {
+// 2-D (d/dz = 0) curls with central differences, each node's curl applied
+// as it is computed. Only nodes [begin, end) are written; the stencil
+// inputs must be fresh (ghosts after a halo exchange).
+void MaxwellSolver::half_b(FieldState& f, std::size_t begin,
+                           std::size_t end) const {
   const auto& lg = *lg_;
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
+  for (std::size_t l = begin; l < end; ++l) {
     const auto e = lg.east(l), w = lg.west(l), n = lg.north(l), s = lg.south(l);
     const double dez_dy = (f.ez[n] - f.ez[s]) * inv2dy_;
     const double dez_dx = (f.ez[e] - f.ez[w]) * inv2dx_;
     const double dey_dx = (f.ey[e] - f.ey[w]) * inv2dx_;
     const double dex_dy = (f.ex[n] - f.ex[s]) * inv2dy_;
-    cx[l] = dez_dy;
-    cy[l] = -dez_dx;
-    cz[l] = dey_dx - dex_dy;
+    f.bx[l] -= 0.5 * dt_ * dez_dy;
+    f.by[l] -= 0.5 * dt_ * -dez_dx;
+    f.bz[l] -= 0.5 * dt_ * (dey_dx - dex_dy);
   }
 }
 
-void MaxwellSolver::curl_b(const FieldState& f, std::vector<double>& cx,
-                           std::vector<double>& cy,
-                           std::vector<double>& cz) const {
+void MaxwellSolver::full_e(FieldState& f, std::size_t begin,
+                           std::size_t end) const {
   const auto& lg = *lg_;
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
+  for (std::size_t l = begin; l < end; ++l) {
     const auto e = lg.east(l), w = lg.west(l), n = lg.north(l), s = lg.south(l);
     const double dbz_dy = (f.bz[n] - f.bz[s]) * inv2dy_;
     const double dbz_dx = (f.bz[e] - f.bz[w]) * inv2dx_;
     const double dby_dx = (f.by[e] - f.by[w]) * inv2dx_;
     const double dbx_dy = (f.bx[n] - f.bx[s]) * inv2dy_;
-    cx[l] = dbz_dy;
-    cy[l] = -dbz_dx;
-    cz[l] = dby_dx - dbx_dy;
+    f.ex[l] += dt_ * (dbz_dy - f.jx[l]);
+    f.ey[l] += dt_ * (-dbz_dx - f.jy[l]);
+    f.ez[l] += dt_ * ((dby_dx - dbx_dy) - f.jz[l]);
   }
 }
 
 void MaxwellSolver::step(sim::Comm& comm, FieldState& f) const {
   const auto& lg = *lg_;
-  auto cx = lg.make_field();
-  auto cy = lg.make_field();
-  auto cz = lg.make_field();
-
   lg.halo_exchange(comm, {&f.ex, &f.ey, &f.ez});
-  curl_e(f, cx, cy, cz);
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
-    f.bx[l] -= 0.5 * dt_ * cx[l];
-    f.by[l] -= 0.5 * dt_ * cy[l];
-    f.bz[l] -= 0.5 * dt_ * cz[l];
-  }
-
+  half_b(f, 0, lg.owned());
   lg.halo_exchange(comm, {&f.bx, &f.by, &f.bz});
-  curl_b(f, cx, cy, cz);
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
-    f.ex[l] += dt_ * (cx[l] - f.jx[l]);
-    f.ey[l] += dt_ * (cy[l] - f.jy[l]);
-    f.ez[l] += dt_ * (cz[l] - f.jz[l]);
-  }
-
+  full_e(f, 0, lg.owned());
   lg.halo_exchange(comm, {&f.ex, &f.ey, &f.ez});
-  curl_e(f, cx, cy, cz);
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
-    f.bx[l] -= 0.5 * dt_ * cx[l];
-    f.by[l] -= 0.5 * dt_ * cy[l];
-    f.bz[l] -= 0.5 * dt_ * cz[l];
-  }
+  half_b(f, 0, lg.owned());
 }
 
 }  // namespace picpar::mesh

@@ -23,17 +23,20 @@ public:
   /// J (and rho) must already hold this step's sources on owned nodes.
   void step(sim::Comm& comm, FieldState& f) const;
 
+  /// The leapfrog's stages on local nodes [begin, end), without
+  /// communication: B -= dt/2 * curl E (half_b) and E += dt * (curl B - J)
+  /// (full_e). step() is half_b, full_e, half_b over all owned nodes, each
+  /// after a halo exchange; a replicated mesh runs them on a share of the
+  /// nodes and concatenates the shares instead.
+  void half_b(FieldState& f, std::size_t begin, std::size_t end) const;
+  void full_e(FieldState& f, std::size_t begin, std::size_t end) const;
+
   double dt() const { return dt_; }
 
   /// Largest stable time step for this grid.
   static double max_dt(const GridDesc& g);
 
 private:
-  void curl_e(const FieldState& f, std::vector<double>& cx,
-              std::vector<double>& cy, std::vector<double>& cz) const;
-  void curl_b(const FieldState& f, std::vector<double>& cx,
-              std::vector<double>& cy, std::vector<double>& cz) const;
-
   const LocalGrid* lg_;
   double dt_;
   double inv2dx_;

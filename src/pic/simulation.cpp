@@ -1,10 +1,11 @@
 #include "pic/simulation.hpp"
-#include "pic/eulerian.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
@@ -102,16 +103,20 @@ void apply_crash_env(sim::FaultConfig& cfg) {
 
 namespace {
 
-/// Who owns a particle — the one thing that separates the paper's method
-/// from the grid-partitioned Eulerian baseline (Table 1). Everything else
-/// (domain, phases, faults, validation, recovery, tracing) is shared.
-enum class Ownership {
-  /// The paper: the partitioner balances particles along the curve and the
-  /// policy decides when to redistribute them (run_pic).
+/// The three parallelizations of Table 1. Each fixes two things: who owns
+/// a particle, and how the field layer works. Everything else (phases,
+/// particle loops, faults, validation, recovery, tracing) is shared.
+enum class Strategy {
+  /// The paper: distributed mesh; the partitioner balances particles along
+  /// the curve and the policy decides when to redistribute them (run_pic).
   kAligned,
-  /// Gledhill & Storey: the rank that owns the particle's cell; particles
-  /// migrate to it after every push (run_eulerian).
+  /// Gledhill & Storey: distributed mesh; the rank that owns the
+  /// particle's cell, to which particles migrate after every push
+  /// (run_eulerian).
   kEulerian,
+  /// Lubeck & Faber: every rank holds the whole mesh and keeps its initial
+  /// slice of particles for good (run_replicated).
+  kReplicated,
 };
 
 /// Per-rank, per-iteration raw measurements; merged after the run.
@@ -126,8 +131,6 @@ struct LocalIter {
   std::uint32_t violation_mask = 0;
   bool recovered = false;
   bool crash_recovered = false;
-  std::uint64_t injected = 0;  ///< injector particles kept by this rank
-  std::uint64_t absorbed = 0;  ///< lost through an open boundary
 };
 
 struct RankOutput {
@@ -138,6 +141,8 @@ struct RankOutput {
   double kinetic_energy = 0.0;
   double total_charge = 0.0;
   std::uint64_t final_particles = 0;
+  std::uint64_t injected = 0;  ///< see RankDriver::injected
+  std::uint64_t absorbed = 0;
   int recoveries = 0;
   int crash_recoveries = 0;
   double mttr_total = 0.0;
@@ -155,9 +160,16 @@ struct RankOutput {
 };
 
 /// Everything a rank's subdomain view depends on the group size: local
-/// grid, fields, solvers, partitioner, ghost tables. Rebuilt in place
-/// (std::optional::emplace) whenever membership changes — the members
-/// reference their siblings, so the object is never moved.
+/// grid, fields, solvers, partitioner, ghost tables, and the field layer's
+/// boundary work. Rebuilt in place (std::optional::emplace) whenever
+/// membership changes — the members reference their siblings, so the
+/// object is never moved.
+///
+/// The field layer is distributed (the rank's own nodes plus stencil
+/// ghosts; ghost flush and halo exchanges) or replicated (the whole mesh
+/// on every rank, where a local index is the global node id; a global sum
+/// and concatenations). Only the boundary work below differs, so the
+/// particle loops that read and write `f` are the same for both.
 struct Domain {
   const GridPartition& part;  ///< shared by every rank of the group
   LocalGrid lg;
@@ -167,21 +179,108 @@ struct Domain {
   std::vector<double> phi;
   ParticlePartitioner partitioner;
   GhostExchange ghosts;
+  /// Replicated layer only: group rank r updates, and reports the energy
+  /// and charge of, nodes [cut[r], cut[r + 1]). Empty when distributed.
+  std::vector<std::uint64_t> cut;
+  /// This rank's share of the local nodes: all it owns when distributed.
+  std::size_t lo = 0, hi = lg.owned();
 
+  /// `part` is the group's partition (distributed) or a one-rank partition
+  /// of the whole mesh (replicated); this rank is group rank `grank` of `p`.
   Domain(const PicParams& params, const GridPartition& part_,
-         const sfc::Curve& curve, double dt, int grank)
+         const sfc::Curve& curve, double dt, int grank, int p, bool replicated)
       : part(part_),
-        lg(part, grank),
+        lg(part, replicated ? 0 : grank),
         f(lg),
         maxwell(lg, dt),
         poisson(lg),
         phi(lg.make_field()),
         partitioner(curve, part.grid(), params.partitioner),
-        ghosts(lg, params.dedup) {}
+        ghosts(lg, params.dedup) {
+    if (!replicated) return;
+    const std::uint64_t m = lg.owned();
+    for (int r = 0; r <= p; ++r)
+      cut.push_back(static_cast<std::uint64_t>(r) * m /
+                    static_cast<std::uint64_t>(p));
+    lo = cut[static_cast<std::size_t>(grank)];
+    hi = cut[static_cast<std::size_t>(grank) + 1];
+  }
 
   /// Eulerian owner of a position: the rank that owns its cell.
   int cell_owner(double x, double y) const {
     return part.owner(part.grid().cell_of(x, y));
+  }
+
+  /// Complete this iteration's sources on the rank's nodes: ghost deposits
+  /// go to their owners, or every rank's whole-mesh deposits are summed
+  /// in one packed allreduce of jx, jy, jz and rho.
+  void combine_sources(Comm& c) {
+    if (cut.empty()) {
+      ghosts.flush_scatter(c, f);
+      return;
+    }
+    const auto sources = {&f.jx, &f.jy, &f.jz, &f.rho};
+    std::vector<double> packed;
+    packed.reserve(4 * f.rho.size());
+    for (const auto* a : sources)
+      packed.insert(packed.end(), a->begin(), a->end());
+    packed = c.allreduce(std::move(packed), std::plus<double>{});
+    auto at = packed.begin();
+    for (auto* a : sources) {
+      std::copy_n(at, a->size(), a->begin());
+      at += static_cast<std::ptrdiff_t>(a->size());
+    }
+  }
+
+  /// One Maxwell step: halo exchanges around each stage (distributed), or
+  /// each stage on this rank's share followed by a concatenation of every
+  /// rank's share (replicated).
+  void maxwell_step(Comm& c) {
+    if (cut.empty()) {
+      maxwell.step(c, f);
+      return;
+    }
+    maxwell.half_b(f, lo, hi);
+    concat(c, {&f.bx, &f.by, &f.bz});
+    maxwell.full_e(f, lo, hi);
+    concat(c, {&f.ex, &f.ey, &f.ez});
+    maxwell.half_b(f, lo, hi);
+    concat(c, {&f.bx, &f.by, &f.bz});
+  }
+
+  /// The fields at the ghost vertices the rank's particles touch; a
+  /// replicated rank already holds every node.
+  void fetch_fields(Comm& c) {
+    if (cut.empty()) ghosts.fetch_fields(c, f);
+  }
+
+  double field_energy() const { return f.energy(lg, lo, hi); }
+
+  double charge() const {
+    // picpar-lint: allow(float-reduction-order) fixed local-index sum
+    double sum = 0.0;
+    for (std::size_t l = lo; l < hi; ++l) sum += f.rho[l];
+    return sum * part.grid().dx() * part.grid().dy();
+  }
+
+ private:
+  /// Global concatenation: every rank's share of `arrays`, to all ranks.
+  void concat(Comm& c, std::initializer_list<std::vector<double>*> arrays) {
+    std::vector<double> share;
+    share.reserve((hi - lo) * arrays.size());
+    for (const auto* a : arrays)
+      share.insert(share.end(), a->begin() + static_cast<std::ptrdiff_t>(lo),
+                   a->begin() + static_cast<std::ptrdiff_t>(hi));
+    std::vector<std::size_t> offsets;
+    const auto all = c.allgatherv(share, &offsets);
+    for (std::size_t r = 0; r + 1 < cut.size(); ++r) {
+      auto at = all.begin() + static_cast<std::ptrdiff_t>(offsets[r]);
+      const auto len = static_cast<std::ptrdiff_t>(cut[r + 1] - cut[r]);
+      for (auto* a : arrays) {
+        std::copy_n(at, len, a->begin() + static_cast<std::ptrdiff_t>(cut[r]));
+        at += len;
+      }
+    }
   }
 };
 
@@ -193,6 +292,9 @@ struct CkptShard {
   int owner_world = -1;
   bool valid = false;
   std::vector<particles::ParticleRec> recs;
+  /// The owner's RankDriver::injected/absorbed as of the checkpoint; the
+  /// survivor that restores the shard adopts them with its particles.
+  std::uint64_t injected = 0, absorbed = 0;
 };
 
 struct CkptBuffer {
@@ -299,7 +401,7 @@ struct VertexMemo {
 /// Immutable run setup plus the host-side state the ranks accumulate into.
 struct Run {
   const PicParams& params;
-  Ownership rule;
+  Strategy strategy;
   const mesh::GridDesc& grid = params.grid;
   std::unique_ptr<sfc::Curve> curve =
       sfc::make_curve(params.curve, grid.nx, grid.ny);
@@ -346,7 +448,7 @@ struct Run {
 };
 
 /// One rank's SPMD program. refresh() rebuilds the group-dependent state,
-/// place() puts particles on the ranks the ownership rule names, step()
+/// place() puts particles on the ranks the strategy names, step()
 /// runs one inject → scatter → solve → gather → push → decide iteration;
 /// crash recovery (operator()) and invariant rollback (validate()) wrap the
 /// step loop.
@@ -373,6 +475,11 @@ struct RankDriver {
   int energy_owner_world = 0;  ///< world rank of the current group rank 0
   double pending_crash_vtime = std::numeric_limits<double>::infinity();
   bool just_recovered = false;
+  // Injector particles kept and particles absorbed by an open boundary,
+  // counted for the particles this rank answers for: its own since init()
+  // plus those of the checkpoint shards it restored. Checkpointed with the
+  // shard, so a crashed rank's counts survive with its particles.
+  std::uint64_t injected = 0, absorbed = 0;
   // Per-subsystem peaks behind the mem.* budget breakdown (transport tables
   // inside the machine, ghost-exchange tables, sort scratch): deterministic
   // functions of the rank's history, so the marks and the per-rank CSV
@@ -381,10 +488,12 @@ struct RankDriver {
   std::size_t mem_peak = 0, mem_machine = 0, mem_exchange = 0, mem_sort = 0;
 
   /// Rebuild the domain for the current group, the scenario's field seed
-  /// and a fresh policy.
+  /// and a fresh policy. A replicated rank holds the whole mesh: a one-rank
+  /// partition, in which a local index is the global node id.
   void refresh() {
-    dom.emplace(params, run.partition(c.size()), *run.curve, run.dt,
-                c.rank());
+    const bool replicated = run.strategy == Strategy::kReplicated;
+    dom.emplace(params, run.partition(replicated ? 1 : c.size()), *run.curve,
+                run.dt, c.rank(), c.size(), replicated);
     if (run.seed_on)
       scenario::apply_field_seed(run.sc->field_seed, grid, dom->lg, dom->f);
     policy = core::make_policy(params.policy);
@@ -409,15 +518,21 @@ struct RankDriver {
       for (const auto& r : buf) mine.push_back(r);
   }
 
-  /// Put `mine` on the ranks the ownership rule names: a full sample sort
-  /// and balance (aligned), or a migration to the cell owners (Eulerian).
+  /// Put `mine` on the ranks the strategy names: a full sample sort and
+  /// balance (aligned), a migration to the cell owners (Eulerian), or
+  /// nowhere — a replicated rank keeps whatever it holds.
   void place() {
-    if (run.rule == Ownership::kEulerian) {
-      migrate();
-      return;
+    switch (run.strategy) {
+      case Strategy::kAligned:
+        dom->partitioner.assign_keys(c, mine);
+        dom->partitioner.distribute(c, mine);
+        break;
+      case Strategy::kEulerian:
+        migrate();
+        break;
+      case Strategy::kReplicated:
+        break;
     }
-    dom->partitioner.assign_keys(c, mine);
-    dom->partitioner.distribute(c, mine);
   }
 
   /// Re-anchor the conservation reference to the current global count.
@@ -451,6 +566,8 @@ struct RankDriver {
     auto& sh = b.shards[static_cast<std::size_t>(grank)];
     sh.valid = false;
     sh.owner_world = world;
+    sh.injected = injected;
+    sh.absorbed = absorbed;
     sh.recs.clear();
     sh.recs.reserve(mine.size());
     for (std::size_t i = 0; i < mine.size(); ++i)
@@ -475,14 +592,19 @@ struct RankDriver {
     const int rank = c.rank();
     refresh();
     out.iters.clear();
+    injected = absorbed = 0;
 
-    if (run.rule == Ownership::kEulerian) {
+    if (run.strategy == Strategy::kEulerian) {
       // Every rank filters the global population for the particles whose
       // cell it owns: deterministic, already placed, no communication.
       mine.clear();
       for (std::size_t i = 0; i < run.global.size(); ++i)
         if (dom->cell_owner(run.global.x[i], run.global.y[i]) == rank)
           mine.push_back(run.global.rec(i));
+      core::assign_keys(run.key_cache, grid, mine);
+    } else if (run.strategy == Strategy::kReplicated) {
+      // Equal contiguous slices, kept for good.
+      mine = particles::block_slice(run.global, rank, c.size());
       core::assign_keys(run.key_cache, grid, mine);
     } else {
       // Equal contiguous slices, then the initial distribution (full
@@ -552,9 +674,11 @@ struct RankDriver {
 
     // Reload every committed shard round-robin across survivors. Shards
     // are addressed by subdomain, not by rank: a dead owner's particles
-    // are restored by whichever survivor the round-robin assigns them to.
+    // (and its injected/absorbed counts) are restored by whichever
+    // survivor the round-robin assigns them to.
     std::uint64_t lost = 0;
     mine.clear();
+    injected = absorbed = 0;
     {
       const auto& b = store.buf[rseq & 1];
       for (int s = 0; s < b.nshards; ++s) {
@@ -570,6 +694,8 @@ struct RankDriver {
         if (s % p == rank) {
           mine.reserve(mine.size() + sh.recs.size());
           for (const auto& r : sh.recs) mine.push_back(r);
+          injected += sh.injected;
+          absorbed += sh.absorbed;
         }
       }
     }
@@ -617,25 +743,35 @@ struct RankDriver {
 
   // Every rank derives the identical injector batch from (seed, iteration)
   // — no communication — and keeps the particles it owns: the partition
-  // range holding the key (aligned) or the particle's cell (Eulerian).
-  // Appending unsorted is fine: the array legitimately unsorts between
-  // redistributions as the push updates keys in place.
-  void inject(int iter, LocalIter& rec) {
+  // range holding the key (aligned), the particle's cell (Eulerian), or
+  // its batch position mod the group size (replicated). Appending unsorted
+  // is fine: the array legitimately unsorts between redistributions as the
+  // push updates keys in place.
+  void inject(int iter) {
     const int rank = c.rank();
     const auto batch =
         scenario::injector_batch(*run.sc, grid, params.init, iter);
     const std::uint64_t stride = mine.key_stride();
-    for (const auto& src : batch) {
-      auto r = src;
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+      auto r = batch[j];
       r.key = stride == 1 ? core::key_of(run.key_cache, grid, r.x, r.y)
                           : core::encode_key(run.key_cache, grid, r.x, r.y,
                                              stride, r.key);
-      const int owner = run.rule == Ownership::kEulerian
-                            ? dom->cell_owner(r.x, r.y)
-                            : dom->partitioner.owner_of(r.key);
+      int owner = 0;
+      switch (run.strategy) {
+        case Strategy::kAligned:
+          owner = dom->partitioner.owner_of(r.key);
+          break;
+        case Strategy::kEulerian:
+          owner = dom->cell_owner(r.x, r.y);
+          break;
+        case Strategy::kReplicated:
+          owner = static_cast<int>(j % static_cast<std::size_t>(c.size()));
+          break;
+      }
       if (owner == rank) {
         mine.push_back(r);
-        ++rec.injected;
+        ++injected;
       }
     }
     c.charge_ops(batch.size());
@@ -660,7 +796,7 @@ struct RankDriver {
     const double t_iter_start = c.clock();
 
     // ---- Boundary injection ----
-    if (run.inject_on) inject(iter, rec);
+    if (run.inject_on) inject(iter);
 
     // ---- Scatter phase ----
     c.set_phase(Phase::kScatter);
@@ -707,15 +843,16 @@ struct RankDriver {
     rec.ghost_entries = ghosts.entries();
     c.mark(trace::kMarkGhostEntries, iter,
            static_cast<double>(rec.ghost_entries));
-    ghosts.flush_scatter(c, f);
+    dom->combine_sources(c);
     rec.scatter = c.stats().diff(stats_before).phase(Phase::kScatter);
 
     // ---- Field solve phase ----
     c.set_phase(Phase::kFieldSolve);
     switch (params.solver) {
       case FieldSolveKind::kMaxwell:
-        dom->maxwell.step(c, f);
-        c.charge(static_cast<double>(lg.owned()) * pc.field_per_node * delta);
+        dom->maxwell_step(c);
+        c.charge(static_cast<double>(dom->hi - dom->lo) * pc.field_per_node *
+                 delta);
         break;
       case FieldSolveKind::kPoisson: {
         const auto pr = dom->poisson.solve(c, f.rho, dom->phi);
@@ -730,7 +867,7 @@ struct RankDriver {
 
     // ---- Gather phase ----
     c.set_phase(Phase::kGather);
-    ghosts.fetch_fields(c, f);
+    dom->fetch_fields(c);
     // Same per-cell memo as the scatter loop; positions are unchanged
     // since scatter, so every vertex is either owned or already has a
     // ghost slot from the deposit pass. The stencil is recomputed rather
@@ -793,6 +930,7 @@ struct RankDriver {
 
     // ---- Push phase ----
     c.set_phase(Phase::kPush);
+    std::uint64_t gone = 0;  // absorbed this iteration
     {
       // Absorbed particles are compacted out with a write index,
       // preserving the relative order of the survivors (swap_remove would
@@ -808,7 +946,7 @@ struct RankDriver {
         const std::size_t w0 = w;
         for (std::size_t i = 0; i < nb; ++i) {
           if (absorb_x && (px[i] < 0.0 || px[i] >= grid.lx)) {
-            ++rec.absorbed;
+            ++gone;
             continue;
           }
           mine.x[w] = absorb_x ? px[i] : grid.wrap_x(px[i]);
@@ -825,17 +963,17 @@ struct RankDriver {
       }
       if (w != n) mine.truncate(w);
     }
+    absorbed += gone;
     c.charge(static_cast<double>(n) * pc.push_per_particle * delta);
     // Eulerian ownership follows the cell: migrate before anything can
     // corrupt a position (a memory fault below).
-    if (run.rule == Ownership::kEulerian) migrate();
+    if (run.strategy == Strategy::kEulerian) migrate();
     // Absorption shrinks the conservation reference; the lost count is
     // agreed collectively (scenario runs only — the legacy path never
     // executes this).
-    if (run.absorb_x && vp.check_every > 0) {
-      const auto lost = c.allreduce_sum<std::uint64_t>(rec.absorbed);
-      checker.set_reference_count(checker.reference_count() - lost);
-    }
+    if (run.absorb_x && vp.check_every > 0)
+      checker.set_reference_count(checker.reference_count() -
+                                  c.allreduce_sum<std::uint64_t>(gone));
 
     // Host-memory corruption the transport checksums cannot see: flip a
     // bit in local particle state. Detection is the checker's job. Fault
@@ -848,12 +986,13 @@ struct RankDriver {
 
     // ---- Iteration timing and redistribution decision ----
     c.set_phase(Phase::kOther);
-    if (run.rule == Ownership::kAligned) decide(iter, t_iter_start, rec);
+    if (run.strategy == Strategy::kAligned) decide(iter, t_iter_start, rec);
     return rec;
   }
 
   /// Agree on the loop time and let the policy decide whether to
-  /// redistribute (aligned ownership; Eulerian particles already moved).
+  /// redistribute (aligned only: Eulerian particles already moved, and
+  /// replicated ones never do).
   void decide(int iter, double t_iter_start, LocalIter& rec) {
     const int rank = c.rank();
     rec.loop_seconds_global = c.allreduce_max(c.clock() - t_iter_start);
@@ -881,7 +1020,7 @@ struct RankDriver {
     if (vp.check_every > 0 && (iter + 1) % vp.check_every == 0) {
       double local_energy = -1.0;
       if (vp.invariants.energy_factor > 0.0)
-        local_energy = dom->f.energy(dom->lg) + mine.kinetic_energy();
+        local_energy = dom->field_energy() + mine.kinetic_energy();
       const auto report = checker.check(
           c, mine, iter,
           rec.redistributed ? &dom->partitioner.rank_upper_bounds() : nullptr,
@@ -948,23 +1087,21 @@ struct RankDriver {
 
     if (params.sample_energy_every > 0 &&
         (iter + 1) % params.sample_energy_every == 0) {
-      const double fe = c.allreduce_sum(dom->f.energy(dom->lg));
+      const double fe = c.allreduce_sum(dom->field_energy());
       const double ke = c.allreduce_sum(mine.kinetic_energy());
       if (rank == 0) out.energy.push_back({iter, fe, ke});
     }
   }
 
-  /// Final physics diagnostics (local sums; merged by the aggregator) and
-  /// memory marks.
+  /// Final physics diagnostics (sums over this rank's particles and node
+  /// share; merged by the aggregator) and memory marks.
   void finish() {
     out.final_particles = static_cast<std::uint64_t>(mine.size());
-    out.field_energy = dom->f.energy(dom->lg);
+    out.injected = injected;
+    out.absorbed = absorbed;
+    out.field_energy = dom->field_energy();
     out.kinetic_energy = mine.kinetic_energy();
-    // picpar-lint: allow(float-reduction-order) fixed local-index sum
-    double charge_sum = 0.0;
-    for (std::size_t l = 0; l < dom->lg.owned(); ++l)
-      charge_sum += dom->f.rho[l];
-    out.total_charge = charge_sum * grid.dx() * grid.dy();
+    out.total_charge = dom->charge();
     for (const auto& [mark, bytes] :
          {std::pair{trace::kMarkMemPeak, mem_peak},
           {trace::kMarkMemMachine, mem_machine},
@@ -1016,13 +1153,18 @@ struct RankDriver {
   }
 };
 
-PicResult run_driver(const PicParams& params, Ownership rule,
+PicResult run_driver(const PicParams& params, Strategy strategy,
                      const char* name) {
   if (params.init.total == 0 || params.iterations < 0)
     throw std::invalid_argument(
         std::string(name) + ": init.total must be > 0 and iterations >= 0");
+  if (strategy == Strategy::kReplicated &&
+      params.solver == FieldSolveKind::kPoisson)
+    throw std::invalid_argument(
+        std::string(name) +
+        ": the replicated field layer has no Poisson solver");
 
-  Run shared{params, rule};
+  Run shared{params, strategy};
   auto& outputs = shared.outputs;
   const auto program = [&](Comm& comm) { RankDriver{shared, comm}(); };
 
@@ -1129,12 +1271,13 @@ PicResult run_driver(const PicParams& params, Ownership rule,
       rec.violation_mask |= li.violation_mask;
       rec.recovered = rec.recovered || li.recovered;
       rec.crash_recovered = rec.crash_recovered || li.crash_recovered;
-      // Each injected particle is kept by exactly one rank (its owner is a
-      // function of the particle), so summing per-rank counts gives the
-      // global emitted/absorbed totals.
-      result.emitted_particles += li.injected;
-      result.absorbed_particles += li.absorbed;
     }
+    // Each injected particle is kept by exactly one rank (its owner is a
+    // function of the particle), and every checkpoint shard's counts are
+    // adopted by exactly one survivor, so summing the survivors' counts
+    // gives the global emitted/absorbed totals.
+    result.emitted_particles += o.injected;
+    result.absorbed_particles += o.absorbed;
     result.final_particles += o.final_particles;
     final_max = std::max(final_max, o.final_particles);
     // picpar-lint: allow(float-reduction-order) rank-order merge
@@ -1149,9 +1292,9 @@ PicResult run_driver(const PicParams& params, Ownership rule,
     rec.iter = static_cast<int>(i);
     rec.exec_seconds = end[i] - prev_end;
     prev_end = end[i];
-    // Eulerian runs agree on no loop time (nothing to decide): the loop
-    // is the whole iteration.
-    if (rule == Ownership::kEulerian)
+    // Only aligned runs agree on a loop time (the others have nothing to
+    // decide): the loop is the whole iteration.
+    if (strategy != Strategy::kAligned)
       rec.loop_seconds = rec.exec_seconds;
     else if (ref && i < ref->iters.size())
       rec.loop_seconds = ref->iters[i].loop_seconds_global;
@@ -1251,11 +1394,15 @@ PicResult run_driver(const PicParams& params, Ownership rule,
 }  // namespace
 
 PicResult run_pic(const PicParams& params) {
-  return run_driver(params, Ownership::kAligned, "run_pic");
+  return run_driver(params, Strategy::kAligned, "run_pic");
 }
 
 PicResult run_eulerian(const PicParams& params) {
-  return run_driver(params, Ownership::kEulerian, "run_eulerian");
+  return run_driver(params, Strategy::kEulerian, "run_eulerian");
+}
+
+PicResult run_replicated(const PicParams& params) {
+  return run_driver(params, Strategy::kReplicated, "run_replicated");
 }
 
 }  // namespace picpar::pic

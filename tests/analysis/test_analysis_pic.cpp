@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "pic/simulation.hpp"
 
@@ -27,7 +29,14 @@ PicParams tiny_params() {
 }
 
 TEST(AnalysisPic, DisabledByDefault) {
+  // Default means PICPAR_ANALYZE unset too (the CI analyzer smoke step
+  // exports it for the whole run); it is restored afterwards.
+  const char* env = std::getenv("PICPAR_ANALYZE");
+  const std::optional<std::string> saved =
+      env ? std::optional<std::string>(env) : std::nullopt;
+  ::unsetenv("PICPAR_ANALYZE");
   const auto r = run_pic(tiny_params());
+  if (saved) ::setenv("PICPAR_ANALYZE", saved->c_str(), 1);
   EXPECT_EQ(r.analysis_findings, -1);
   EXPECT_TRUE(r.analysis_report.empty());
   EXPECT_EQ(r.hb_fingerprint, 0u);

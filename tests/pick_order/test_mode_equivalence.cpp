@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "pic/eulerian.hpp"
-#include "pic/replicated.hpp"
 #include "pic/result_io.hpp"
 #include "pic/simulation.hpp"
 #include "pick_order.hpp"
